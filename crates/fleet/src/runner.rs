@@ -526,6 +526,7 @@ fn planner_for(mode: &str) -> Option<Planner> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     #[test]
     fn nearest_rank_picks_deterministically() {

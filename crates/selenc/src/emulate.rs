@@ -474,7 +474,7 @@ pub fn verify_cube_stream(design: &WrapperDesign, cube: &TritVec) -> Result<u64,
     })
 }
 
-/// Totals reported by [`verify_test_set_stream`] / [`verify_operating_point`].
+/// Totals reported by [`verify_cubes_stream`] and its callers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamReport {
     /// Patterns whose streams were encoded, decoded, and verified.
@@ -483,7 +483,31 @@ pub struct StreamReport {
     pub codewords: u64,
 }
 
-/// Runs [`verify_cube_stream`] over every pattern of `test_set`.
+/// Runs [`verify_cube_stream`] over `cubes`, a consecutive run of a test
+/// set's patterns, under a prebuilt `design`. Each call is independent of
+/// every other, so a test set can be verified as any split into runs and
+/// the reports summed — which is how the planner fans verification out.
+///
+/// # Errors
+///
+/// The first [`StreamError`] any cube provokes, in cube order.
+///
+/// # Panics
+///
+/// Panics if a cube is shorter than the design's deepest position.
+pub fn verify_cubes_stream(
+    design: &WrapperDesign,
+    cubes: &[TritVec],
+) -> Result<StreamReport, StreamError> {
+    let mut report = StreamReport::default();
+    for cube in cubes {
+        report.codewords += verify_cube_stream(design, cube)?;
+        report.patterns += 1;
+    }
+    Ok(report)
+}
+
+/// Runs [`verify_cubes_stream`] over every pattern of `test_set`.
 ///
 /// # Errors
 ///
@@ -497,12 +521,7 @@ pub fn verify_test_set_stream(
     design: &WrapperDesign,
     test_set: &TestSet,
 ) -> Result<StreamReport, StreamError> {
-    let mut report = StreamReport::default();
-    for cube in test_set.iter() {
-        report.codewords += verify_cube_stream(design, cube)?;
-        report.patterns += 1;
-    }
-    Ok(report)
+    verify_cubes_stream(design, test_set.patterns())
 }
 
 /// Stream-verifies a core at decompressor operating point `m`: designs the
@@ -520,8 +539,7 @@ pub fn verify_operating_point(core: &Core, m: u32) -> Result<StreamReport, Strea
     let test_set = core
         .test_set()
         .expect("core must carry a test set; call synthesize_missing_test_sets first");
-    let design = design_wrapper(core, m);
-    verify_test_set_stream(&design, test_set)
+    verify_cubes_stream(&design_wrapper(core, m), test_set.patterns())
 }
 
 #[cfg(test)]

@@ -64,8 +64,8 @@ pub use area::{decompressor_area, DecompressorArea};
 pub use code::{Codeword, SliceCode};
 pub use decoder::{DecodeError, Decompressor};
 pub use emulate::{
-    encode_slices_packed, verify_cube_stream, verify_operating_point, verify_stream_packed,
-    verify_test_set_stream, Emulator, StreamReport,
+    encode_slices_packed, verify_cube_stream, verify_cubes_stream, verify_operating_point,
+    verify_stream_packed, verify_test_set_stream, Emulator, StreamReport,
 };
 pub use encoder::Encoder;
 pub use integrity::{verify_stream, StreamError};

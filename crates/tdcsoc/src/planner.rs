@@ -8,8 +8,9 @@ use std::time::{Duration, Instant};
 
 use parpool::Pool;
 use selenc::SliceCode;
-use soc_model::{CoreId, Soc};
+use soc_model::{CoreId, Soc, TritVec};
 use tam::{Architecture, ArchitectureOptions, CostModel, Schedule, ScheduleError};
+use wrapper::{design_wrapper, WrapperDesign};
 
 use crate::cascade::{self, PlanControl, PlanOutcome, ProfileCacheConfig, SolverStage};
 use crate::decisions::{
@@ -320,9 +321,8 @@ impl Planner {
         let pool = match request.architecture.workers {
             Some(w) => Pool::with_workers(w),
             None => Pool::new(),
-        }
-        .labeled("tables");
-        let parts = pool.run_with(&table_token, tasks);
+        };
+        let parts = pool.clone().labeled("tables").run_with(&table_token, tasks);
         let mut per_core: Vec<Vec<TablePart>> = (0..jobs.len()).map(|_| Vec::new()).collect();
         for ((i, range), part) in chunks.into_iter().zip(parts) {
             per_core[i].push(part.unwrap_or_else(|| TablePart::skipped(range)));
@@ -412,7 +412,6 @@ impl Planner {
                     &tables,
                     arch,
                     PlanOutcome::Optimal,
-                    start.elapsed(),
                 );
                 write_checkpoint(path, &plan);
             }
@@ -428,54 +427,134 @@ impl Planner {
         .map_err(PlanError::Schedule)?;
         debug_assert!(result.architecture.schedule.validate(&cost).is_ok());
 
-        let plan = assemble_plan(
+        let mut plan = assemble_plan(
             self.mode,
             request.budget,
             &tables,
             &result.architecture,
             result.outcome,
-            start.elapsed(),
         );
         if let Some(path) = &control.checkpoint {
             write_checkpoint(path, &plan);
         }
         if !control.skip_stream_verification {
-            verify_plan_streams(soc, &plan, &mut stats)?;
+            verify_plan_streams(soc, &plan, &pool.labeled("verify"), &mut stats)?;
         }
+        // Stamped last so the reported time covers verification too.
+        plan.cpu_time = start.elapsed();
         Ok((plan, stats))
     }
 }
 
 /// Replays every selective-encoding operating point the plan instantiates
 /// through the batched decompressor emulator
-/// ([`selenc::verify_operating_point`]): each core's cubes are re-encoded
-/// at its chosen `(w, m)` and the codeword stream decoded back, failing if
+/// ([`selenc::verify_cubes_stream`]): each core's cubes are re-encoded at
+/// its chosen `(w, m)` and the codeword stream decoded back, failing if
 /// any care bit is not reconstructed. This is the verify-at-plan-time
 /// contract — a returned plan's compressed streams are known-good, not
 /// merely cost-estimated.
-fn verify_plan_streams(soc: &Soc, plan: &Plan, stats: &mut PlanStats) -> Result<(), PlanError> {
-    for setting in &plan.core_settings {
-        if setting.technique != Technique::SelectiveEncoding {
-            continue;
-        }
-        let Some((_, m)) = setting.decompressor else {
-            continue;
-        };
-        let core = &soc.cores()[setting.core.0];
-        match selenc::verify_operating_point(core, m) {
-            Ok(report) => {
-                stats.streams_verified += 1;
-                stats.stream_words += report.codewords;
-            }
+///
+/// Each compressed core's wrapper design is built once; its patterns are
+/// cut into runs (see [`verify_chunk_patterns`]) that run as independent
+/// tasks on `pool`. No cancel token is consulted: every pattern of every
+/// compressed core is checked, whatever the plan's deadline.
+fn verify_plan_streams(
+    soc: &Soc,
+    plan: &Plan,
+    pool: &Pool,
+    stats: &mut PlanStats,
+) -> Result<(), PlanError> {
+    let streams: Vec<(&str, &[TritVec], WrapperDesign)> = plan
+        .core_settings
+        .iter()
+        .filter(|setting| setting.technique == Technique::SelectiveEncoding)
+        .filter_map(|setting| {
+            let (_, m) = setting.decompressor?;
+            let core = &soc.cores()[setting.core.0];
+            let cubes = core
+                .test_set()
+                .expect("compression modes reject cores without a test set")
+                .patterns();
+            Some((setting.name.as_str(), cubes, design_wrapper(core, m)))
+        })
+        .collect();
+    let tasks: Vec<_> = streams
+        .iter()
+        .enumerate()
+        .flat_map(|(stream, (_, cubes, design))| {
+            let per_chunk = verify_chunk_patterns(cubes.len(), design.scan_in_length());
+            cubes.chunks(per_chunk).enumerate().map(move |(i, run)| {
+                let first = i * per_chunk;
+                move || ChunkVerdict {
+                    stream,
+                    first,
+                    result: selenc::verify_cubes_stream(design, run),
+                }
+            })
+        })
+        .collect();
+    let names: Vec<&str> = streams.iter().map(|(name, _, _)| *name).collect();
+    let words = reduce_stream_verdicts(&names, pool.run(tasks))?;
+    stats.streams_verified += names.len();
+    stats.stream_words += words;
+    Ok(())
+}
+
+/// Scan slices (patterns × scan-in depth) per stream-verification task.
+/// Small enough that the largest core of a plan spreads across workers,
+/// large enough that a task amortizes its scheduling overhead.
+const VERIFY_CHUNK_SLICES: u64 = 1 << 13;
+
+/// Patterns per verification task for a core with `patterns` patterns at
+/// scan-in depth `depth`: the core splits into
+/// `⌈patterns × depth / VERIFY_CHUNK_SLICES⌉` runs (at most one per
+/// pattern) of near-equal length. The split depends on the core's pattern
+/// count and depth alone — never on the worker count — so the same tasks
+/// run at any worker count.
+fn verify_chunk_patterns(patterns: usize, depth: u64) -> usize {
+    let slices = (patterns as u64).saturating_mul(depth);
+    let runs = slices
+        .div_ceil(VERIFY_CHUNK_SLICES)
+        .clamp(1, patterns.max(1) as u64);
+    patterns.div_ceil(runs as usize).max(1)
+}
+
+/// One verification task's verdict: which compressed core (`stream`, in
+/// plan order) and which run of its patterns (starting at pattern
+/// `first`) it checked.
+#[derive(Debug, Clone)]
+struct ChunkVerdict {
+    stream: usize,
+    first: usize,
+    result: Result<selenc::StreamReport, selenc::StreamError>,
+}
+
+/// Reduces per-task verdicts, given in any order, to the total codeword
+/// count of the streams named by `names`, or to the error the sequential
+/// core-by-core loop reports: the first failing core in plan order and,
+/// within it, the first failing pattern (each task stops at its own first
+/// failing pattern, so the lowest failing `(stream, first)` pinpoints it).
+fn reduce_stream_verdicts(names: &[&str], verdicts: Vec<ChunkVerdict>) -> Result<u64, PlanError> {
+    let mut words = 0;
+    let mut first_failure: Option<((usize, usize), selenc::StreamError)> = None;
+    for verdict in verdicts {
+        match verdict.result {
+            Ok(report) => words += report.codewords,
             Err(error) => {
-                return Err(PlanError::StreamVerification {
-                    core: setting.name.clone(),
-                    error,
-                })
+                let at = (verdict.stream, verdict.first);
+                if first_failure.as_ref().is_none_or(|(seen, _)| at < *seen) {
+                    first_failure = Some((at, error));
+                }
             }
         }
     }
-    Ok(())
+    match first_failure {
+        Some(((stream, _), error)) => Err(PlanError::StreamVerification {
+            core: names[stream].to_string(),
+            error,
+        }),
+        None => Ok(words),
+    }
 }
 
 /// Work accounting for one [`Planner::plan_with_stats`] run: on-disk
@@ -556,14 +635,14 @@ const TABLE_SLICE: f64 = 0.5;
 const TABLE_CHUNK: u32 = 4;
 
 /// Turns a winning architecture into a full [`Plan`] (per-core settings,
-/// volume and wire accounting).
+/// volume and wire accounting), leaving `cpu_time` zero for the caller to
+/// stamp.
 fn assemble_plan(
     mode: CompressionMode,
     budget: Budget,
     tables: &[DecisionTable],
     arch: &Architecture,
     outcome: PlanOutcome,
-    cpu_time: Duration,
 ) -> Plan {
     let mut settings = Vec::with_capacity(tables.len());
     let mut volume = 0u64;
@@ -599,7 +678,7 @@ fn assemble_plan(
         core_settings: settings,
         routed_wires,
         ate_channels,
-        cpu_time,
+        cpu_time: Duration::ZERO,
         outcome,
     }
 }
@@ -1647,7 +1726,19 @@ mod tests {
             .unwrap();
         assert_eq!(stats.streams_verified, plan.compressed_core_count());
         assert!(stats.streams_verified > 0, "industrial cores compress");
-        assert!(stats.stream_words > 0);
+        // The fanned-out check counts exactly what one sequential pass
+        // over each compressed core counts.
+        let sequential: u64 = plan
+            .core_settings
+            .iter()
+            .filter_map(|s| {
+                let (_, m) = s.decompressor?;
+                selenc::verify_operating_point(&soc.cores()[s.core.0], m).ok()
+            })
+            .map(|report| report.codewords)
+            .sum();
+        assert!(sequential > 0);
+        assert_eq!(stats.stream_words, sequential);
         // Opting out skips the replay but changes nothing else.
         let (same, none) = Planner::per_core_tdc()
             .plan_with_stats(
@@ -1659,6 +1750,106 @@ mod tests {
         assert_eq!(none.streams_verified, 0);
         assert_eq!(none.stream_words, 0);
         assert_eq!(same.core_settings, plan.core_settings);
+    }
+
+    #[test]
+    fn stream_reduction_reports_the_first_failing_core_and_pattern() {
+        let names = ["a", "b", "c"];
+        let ok = |codewords| {
+            Ok(selenc::StreamReport {
+                patterns: 1,
+                codewords,
+            })
+        };
+        let fail = |decoded| {
+            Err(selenc::StreamError::SliceCountMismatch {
+                expected: 9,
+                decoded,
+            })
+        };
+        let verdict = |stream, first, result| ChunkVerdict {
+            stream,
+            first,
+            result,
+        };
+        let clean = vec![
+            verdict(0, 0, ok(5)),
+            verdict(0, 4, ok(6)),
+            verdict(2, 0, ok(7)),
+        ];
+        assert_eq!(reduce_stream_verdicts(&names, clean), Ok(18));
+        assert_eq!(reduce_stream_verdicts(&[], Vec::new()), Ok(0));
+
+        // Core "b" fails in two runs and core "c" in one; the sequential
+        // loop would stop at "b"'s run starting at pattern 3.
+        let verdicts = vec![
+            verdict(0, 0, ok(5)),
+            verdict(1, 0, ok(2)),
+            verdict(1, 3, fail(1)),
+            verdict(1, 6, fail(2)),
+            verdict(2, 0, fail(3)),
+        ];
+        let expect = Err(PlanError::StreamVerification {
+            core: "b".into(),
+            error: selenc::StreamError::SliceCountMismatch {
+                expected: 9,
+                decoded: 1,
+            },
+        });
+        // Whatever order the runs finish in.
+        for rotation in 0..verdicts.len() {
+            let mut order = verdicts.clone();
+            order.rotate_left(rotation);
+            assert_eq!(reduce_stream_verdicts(&names, order.clone()), expect);
+            order.reverse();
+            assert_eq!(reduce_stream_verdicts(&names, order), expect);
+        }
+    }
+
+    #[test]
+    fn verify_chunks_split_by_slice_count_alone() {
+        for (patterns, depth) in [(0, 10), (1, 1), (7, 0), (419, 421), (3, 100_000), (5000, 1)] {
+            let per_chunk = verify_chunk_patterns(patterns, depth);
+            assert!(per_chunk >= 1, "({patterns}, {depth})");
+            let runs = patterns.div_ceil(per_chunk) as u64;
+            let slices = patterns as u64 * depth;
+            // Never more runs than the slice budget asks for, and a core
+            // above the budget is always split.
+            assert!(
+                runs <= slices.div_ceil(VERIFY_CHUNK_SLICES).max(1),
+                "({patterns}, {depth})"
+            );
+            if slices > VERIFY_CHUNK_SLICES && patterns > 1 {
+                assert!(runs > 1, "({patterns}, {depth})");
+            }
+        }
+    }
+
+    #[test]
+    fn cpu_time_covers_stream_verification() {
+        // A warm-cache replan reads every profile from disk, so verifying
+        // its streams is most of the call: a cpu_time stamped before
+        // verification would cover well under half of it.
+        let soc = Design::P34392.build_with_cubes(7);
+        let mut req = fast(PlanRequest::tam_width(24));
+        req.architecture.workers = Some(1);
+        let dir = cache_dir("cpu-time");
+        let control = cached_control(&dir);
+        let planner = Planner::per_core_tdc();
+        planner.plan_with(&soc, &req, &control).unwrap();
+        // Timing the call is the point of the test.
+        #[allow(clippy::disallowed_methods)]
+        let t0 = Instant::now();
+        let (plan, stats) = planner.plan_with_stats(&soc, &req, &control).unwrap();
+        let call = t0.elapsed();
+        assert_eq!(stats.profile_hits, soc.core_count());
+        assert!(stats.streams_verified > 0);
+        assert!(
+            plan.cpu_time * 2 >= call,
+            "cpu_time {:?} of a {call:?} call",
+            plan.cpu_time
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

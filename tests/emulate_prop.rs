@@ -10,11 +10,11 @@
 use proptest::prelude::*;
 
 use soc_tdc::model::generator::synthesize_missing_test_sets;
-use soc_tdc::model::{Core, Soc, Trit, TritVec};
+use soc_tdc::model::{Core, Soc, TestSet, Trit, TritVec};
 use soc_tdc::planner::{DecisionConfig, PlanControl, PlanRequest, Planner};
 use soc_tdc::selenc::{
-    encode_cube, encode_slices_packed, verify_cube_stream, verify_stream, verify_stream_packed,
-    Encoder, SliceCode,
+    encode_cube, encode_slices_packed, verify_cube_stream, verify_cubes_stream, verify_stream,
+    verify_stream_packed, verify_test_set_stream, Encoder, SliceCode, StreamReport,
 };
 use soc_tdc::wrapper::{design_wrapper, SliceMatrix};
 
@@ -35,13 +35,18 @@ fn cube(len: usize, density: f64) -> impl Strategy<Value = TritVec> {
 
 /// A small hard core with arbitrary chain structure, plus a cube set.
 fn core_and_cubes() -> impl Strategy<Value = (Core, Vec<TritVec>)> {
+    core_and_n_cubes(1..4)
+}
+
+/// [`core_and_cubes`] with the cube count drawn from `count`.
+fn core_and_n_cubes(count: std::ops::Range<usize>) -> impl Strategy<Value = (Core, Vec<TritVec>)> {
     (
         proptest::collection::vec(1u32..40, 1..6), // scan chains
         0u32..12,                                  // inputs
         0u32..12,                                  // outputs
         0.02f64..0.9,                              // care density
     )
-        .prop_flat_map(|(chains, inputs, outputs, density)| {
+        .prop_flat_map(move |(chains, inputs, outputs, density)| {
             let core = Core::builder("prop")
                 .inputs(inputs)
                 .outputs(outputs)
@@ -50,7 +55,7 @@ fn core_and_cubes() -> impl Strategy<Value = (Core, Vec<TritVec>)> {
                 .build()
                 .expect("valid core");
             let len = core.scan_load_bits() as usize;
-            proptest::collection::vec(cube(len, density), 1..4)
+            proptest::collection::vec(cube(len, density), count.clone())
                 .prop_map(move |cs| (core.clone(), cs))
         })
 }
@@ -130,6 +135,42 @@ proptest! {
             prop_assert_eq!(verify_stream(code, words.iter().copied(), &expected), Ok(()));
             let n = verify_cube_stream(&design, cube).expect("packed path verifies");
             prop_assert_eq!(n, words.len() as u64);
+        }
+    }
+
+    /// Verifying a test set as consecutive runs of patterns — one pattern
+    /// per run, a single run of all, or arbitrary cut points — sums to the
+    /// same totals as verifying it whole, so the planner's fan-out of
+    /// verification into pattern runs neither drops nor double-counts work.
+    #[test]
+    fn chunked_verification_sums_to_the_whole_test_set(
+        (core, cubes) in core_and_n_cubes(1..12),
+        m in 1u32..24,
+        cuts in proptest::collection::vec(any::<bool>(), 12),
+    ) {
+        let design = design_wrapper(&core, m);
+        let test_set = TestSet::from_patterns(core.scan_load_bits() as usize, cubes.clone())
+            .expect("cubes span the core's scan load");
+        let whole = verify_test_set_stream(&design, &test_set).expect("valid streams verify");
+        prop_assert_eq!(whole.patterns, cubes.len() as u64);
+
+        let mut arbitrary: Vec<&[TritVec]> = Vec::new();
+        let mut start = 0;
+        for end in 1..=cubes.len() {
+            if end == cubes.len() || cuts[end - 1] {
+                arbitrary.push(&cubes[start..end]);
+                start = end;
+            }
+        }
+        let singles: Vec<&[TritVec]> = cubes.chunks(1).collect();
+        for runs in [arbitrary, singles, vec![&cubes[..]]] {
+            let mut sum = StreamReport::default();
+            for run in runs {
+                let report = verify_cubes_stream(&design, run).expect("valid streams verify");
+                sum.patterns += report.patterns;
+                sum.codewords += report.codewords;
+            }
+            prop_assert_eq!(sum, whole);
         }
     }
 

@@ -7,7 +7,7 @@
 use soc_tdc::model::benchmarks::{self, Design};
 use soc_tdc::model::format::{parse_soc, write_soc};
 use soc_tdc::model::{generator::synthesize_missing_test_sets, Core, Soc};
-use soc_tdc::planner::{DecisionConfig, PlanRequest, Planner};
+use soc_tdc::planner::{write_plan, DecisionConfig, PlanControl, PlanRequest, Planner};
 use soc_tdc::tam::render_gantt;
 
 /// A reduced industrial-like SOC small enough for debug-build tests.
@@ -104,6 +104,33 @@ fn planning_is_deterministic() {
     assert_eq!(a.volume_bits, b.volume_bits);
     assert_eq!(a.core_settings, b.core_settings);
     assert_eq!(a.schedule, b.schedule);
+}
+
+#[test]
+fn plans_and_stats_are_identical_at_any_worker_count() {
+    // Table builds and stream verification both fan out on the planner's
+    // pool; neither the plan nor any counter may depend on its size.
+    for (design, width) in [(Design::P34392, 24), (Design::System1, 32)] {
+        let soc = design.build_with_cubes(42);
+        let runs: Vec<_> = [1, 2, 4]
+            .into_iter()
+            .map(|workers| {
+                let mut request = fast(width);
+                request.architecture.workers = Some(workers);
+                let (plan, stats) = Planner::per_core_tdc()
+                    .plan_with_stats(&soc, &request, &PlanControl::default())
+                    .unwrap();
+                (write_plan(&plan), stats)
+            })
+            .collect();
+        assert!(
+            runs[0].1.streams_verified > 0,
+            "{design:?} verifies streams"
+        );
+        for run in &runs[1..] {
+            assert_eq!(run, &runs[0], "{design:?} at W={width}");
+        }
+    }
 }
 
 #[test]
