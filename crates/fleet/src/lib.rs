@@ -10,8 +10,8 @@
 //! order at any worker count, so a fleet run is bit-identical to planning
 //! each instance alone, sequentially.
 //!
-//! Memory stays bounded: design instances built from the same source are
-//! shared through an LRU [`robust::BoundedCache`], planner memo caches are
+//! Memory stays bounded: design instances built from the same content are
+//! shared through a bounded LRU [`tdcsoc::SocCache`], planner memo caches are
 //! bounded per design, and the shared on-disk profile cache uses the
 //! sharded concurrent-writer-safe layout from `tdcsoc` — so instances that
 //! share cores (the same ITC'02 file at several widths) reuse each other's
@@ -29,8 +29,9 @@
 mod manifest;
 mod runner;
 
-pub use manifest::{Instance, Manifest, ManifestError, SocSource};
+pub use manifest::{Instance, Manifest, ManifestError};
 pub use runner::{
     ndjson_line, run_fleet, run_fleet_with, FleetHooks, FleetOptions, FleetReport, FleetSummary,
     InstanceOutcome, InstanceReport,
 };
+pub use tdcsoc::SocSource;

@@ -11,14 +11,14 @@
 //! soc designs/mine.soc   widths=32 sample=8 mcand=8
 //! ```
 //!
-//! * `design <name>` — a built-in benchmark ([`Design::ALL`] names,
+//! * `design <name>` — a built-in benchmark (`soctdc designs` names,
 //!   case-insensitive); `itc02 <path>` / `soc <path>` — a file in ITC'02
 //!   or simple format, read when the fleet runs.
 //! * `widths=` — comma-separated TAM widths and/or `lo..hi:step` ranges
 //!   (inclusive; `:step` optional, default 1). Default `32`.
 //! * `seeds=` — comma-separated synthesis seeds and/or inclusive
 //!   `lo..hi` ranges. Default `2008` (the CLI default).
-//! * `mode=` — planner mode keyword (`per-core`, `no-tdc`, …). Default
+//! * `mode=` — planner mode keyword ([`tdcsoc::planner_for`]). Default
 //!   `per-core`. `sample=`/`mcand=` — evaluation fidelity (defaults as
 //!   the CLI); `exact` — full-fidelity evaluation; `density=` — ITC'02
 //!   care-bit density (default 0.02).
@@ -28,29 +28,15 @@
 //! exceeding [`Manifest::MAX_PER_LINE`]) is rejected with an error naming
 //! the line, never truncated silently.
 
-use soc_model::benchmarks::Design;
-use tdcsoc::DecisionConfig;
+use tdcsoc::{planner_for, DecisionConfig, SocSource};
 
-/// Where one instance's SOC comes from.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SocSource {
-    /// A built-in benchmark design, by canonical name.
-    Builtin(String),
-    /// An ITC'02-format file, read at fleet run time.
-    Itc02File(String),
-    /// A simple-format SOC file, read at fleet run time.
-    SimpleFile(String),
-}
-
-impl SocSource {
-    /// A short label for instance ids: the design name or the file stem.
-    fn label(&self) -> String {
-        match self {
-            SocSource::Builtin(name) => name.clone(),
-            SocSource::Itc02File(path) | SocSource::SimpleFile(path) => std::path::Path::new(path)
-                .file_stem()
-                .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned()),
-        }
+/// A short label for instance ids: the design name or the file stem.
+fn source_label(source: &SocSource) -> String {
+    match source {
+        SocSource::Builtin(name) => name.clone(),
+        SocSource::Itc02File(path) | SocSource::SimpleFile(path) => std::path::Path::new(path)
+            .file_stem()
+            .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned()),
     }
 }
 
@@ -102,12 +88,6 @@ impl std::fmt::Display for ManifestError {
 }
 
 impl std::error::Error for ManifestError {}
-
-/// Planner mode keywords the CLI accepts; validated here so a typo fails
-/// at parse time, not halfway through a thousand-instance run.
-const MODES: &[&str] = &[
-    "no-tdc", "per-core", "per-tam", "fixed4", "reseed", "fdr", "select",
-];
 
 impl Manifest {
     /// Hard cap on total expanded instances per manifest.
@@ -184,11 +164,7 @@ fn parse_line(line: &str, lineno: usize) -> Result<Vec<Instance>, ManifestError>
             let name = tokens
                 .next()
                 .ok_or_else(|| err(lineno, "`design` needs a name"))?;
-            let d = Design::ALL
-                .into_iter()
-                .find(|d| d.name().eq_ignore_ascii_case(name))
-                .ok_or_else(|| err(lineno, format!("unknown design `{name}`")))?;
-            SocSource::Builtin(d.name().to_string())
+            SocSource::builtin(name).map_err(|e| err(lineno, e))?
         }
         "itc02" => SocSource::Itc02File(
             tokens
@@ -234,7 +210,9 @@ fn parse_line(line: &str, lineno: usize) -> Result<Vec<Instance>, ManifestError>
                 seeds = parse_list(value, lineno, "seeds", parse_seed_range)?;
             }
             "mode" => {
-                if !MODES.contains(&value) {
+                // Validated here so a typo fails at parse time, not halfway
+                // through a thousand-instance run.
+                if planner_for(value).is_none() {
                     return Err(err(lineno, format!("unknown mode `{value}`")));
                 }
                 mode = value.to_string();
@@ -279,7 +257,7 @@ fn parse_line(line: &str, lineno: usize) -> Result<Vec<Instance>, ManifestError>
         }
     };
 
-    let label = source.label();
+    let label = source_label(&source);
     let mut out = Vec::new();
     for &seed in &seeds {
         for &width in &widths {

@@ -13,17 +13,16 @@
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
-use std::sync::Arc;
 // soclint: allow(wall-clock) -- fleet latency/throughput reporting only; no plan content derives from time
 use std::time::Instant;
 
-use parpool::{dsan, split_budget, Pool};
-use robust::{BoundedCache, CacheLimits, CacheStats};
-use soc_model::benchmarks::Design;
-use soc_model::{format::parse_soc, generator::synthesize_missing_test_sets, itc02, Soc};
-use tdcsoc::{Plan, PlanControl, PlanOutcome, PlanRequest, PlanStats, Planner};
+use parpool::{split_budget, Pool};
+use robust::{CacheLimits, CacheStats};
+use tdcsoc::{
+    planner_for, profile_tag, Plan, PlanControl, PlanOutcome, PlanRequest, PlanStats, SocCache,
+};
 
-use crate::manifest::{Instance, Manifest, SocSource};
+use crate::manifest::{Instance, Manifest};
 
 /// Knobs for one fleet run.
 #[derive(Debug, Clone)]
@@ -37,8 +36,8 @@ pub struct FleetOptions {
     /// concurrent writers — every fleet worker (and other processes) may
     /// point at the same root.
     pub profile_cache: Option<PathBuf>,
-    /// LRU bounds on the shared in-memory design-instance cache (built
-    /// SOCs with synthesized test sets, reused across width sweeps).
+    /// LRU bounds on the batch's [`SocCache`] (built SOCs with
+    /// synthesized test sets, reused across width and mode sweeps).
     pub soc_cache: CacheLimits,
     /// Skip the per-plan compressed-stream replay (faster; plans are
     /// unchanged — verification never alters a plan).
@@ -67,7 +66,7 @@ impl Default for FleetOptions {
         FleetOptions {
             workers: 0,
             profile_cache: None,
-            soc_cache: CacheLimits::new(32, 256 << 20),
+            soc_cache: SocCache::DEFAULT_LIMITS,
             skip_stream_verification: false,
             resume_plan_dir: None,
         }
@@ -217,10 +216,6 @@ pub struct FleetReport {
     pub summary: FleetSummary,
 }
 
-/// Key of the shared design-instance cache: everything that shapes the
-/// built SOC (density keyed by bit pattern — `f64` has no `Ord`).
-type SocKey = (SocSource, u64, u64);
-
 /// Plans every instance of `manifest` under `opts`, two-level scheduled.
 ///
 /// The report's instances are in manifest order and each plan is
@@ -244,13 +239,7 @@ pub fn run_fleet_with(manifest: &Manifest, opts: &FleetOptions, hooks: &FleetHoo
     };
     let (outer, inner) = split_budget(budget, manifest.len());
 
-    // Advisory dsan shadow: outer jobs race on this cache by design, and
-    // a hit is equivalent to a rebuild (the transparency argument below).
-    let socs: dsan::Cell<BoundedCache<SocKey, Arc<Soc>>> = dsan::Cell::new(
-        "fleet.soc-cache",
-        dsan::Policy::Advisory,
-        BoundedCache::new(opts.soc_cache),
-    );
+    let socs = SocCache::new(opts.soc_cache);
     let tasks: Vec<_> = manifest
         .instances
         .iter()
@@ -268,7 +257,7 @@ pub fn run_fleet_with(manifest: &Manifest, opts: &FleetOptions, hooks: &FleetHoo
     let instances = Pool::with_workers(outer).labeled("fleet").run(tasks);
 
     let elapsed_s = t0.elapsed().as_secs_f64();
-    let soc_cache = socs.read(|cache| cache.stats());
+    let soc_cache = socs.stats();
     let summary = summarize(&instances, elapsed_s, soc_cache, outer, inner, budget);
     FleetReport { instances, summary }
 }
@@ -352,7 +341,7 @@ fn plan_instance(
     inst: &Instance,
     inner: usize,
     opts: &FleetOptions,
-    socs: &dsan::Cell<BoundedCache<SocKey, Arc<Soc>>>,
+    socs: &SocCache,
 ) -> InstanceReport {
     // soclint: allow(wall-clock) -- per-design latency reporting only
     #[allow(clippy::disallowed_methods)]
@@ -375,7 +364,11 @@ fn plan_instance(
             };
         }
     }
-    let soc = match shared_soc(socs, inst) {
+    let soc = match inst
+        .source
+        .read()
+        .and_then(|content| socs.get(content, inst.seed, inst.density))
+    {
         Ok(soc) => soc,
         Err(message) => return failed(message, t0),
     };
@@ -391,10 +384,7 @@ fn plan_instance(
         control = control.without_stream_verification();
     }
     if let Some(dir) = &opts.profile_cache {
-        // Same tag the CLI's `plan --profile-cache` uses, so fleet runs
-        // and single-design runs share entries.
-        let tag = format!("{}-seed{}-d{:.3}", soc.name(), inst.seed, inst.density);
-        control = control.cache_profiles_in(dir, tag);
+        control = control.cache_profiles_in(dir, profile_tag(&soc, inst.seed, inst.density));
     }
     match planner.plan_with_stats(&soc, &request, &control) {
         Ok((plan, stats)) => InstanceReport {
@@ -459,68 +449,6 @@ fn json_escape(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Fetches (or builds and caches) the instance's SOC. The cache is
-/// semantically transparent: builds are deterministic, so a hit, a miss,
-/// or an eviction-forced rebuild all yield the identical SOC — racing
-/// workers can at worst build the same SOC twice.
-fn shared_soc(
-    socs: &dsan::Cell<BoundedCache<SocKey, Arc<Soc>>>,
-    inst: &Instance,
-) -> Result<Arc<Soc>, String> {
-    let key: SocKey = (inst.source.clone(), inst.seed, inst.density.to_bits());
-    // soclint: allow(capture-mut) -- LRU bookkeeping only: a hit returns exactly what a rebuild would, so lock interleaving never reaches plan content
-    if let Some(soc) = socs.write(|cache| cache.get(&key).map(Arc::clone)) {
-        return Ok(soc);
-    }
-    let soc = Arc::new(build_soc(inst)?);
-    // Weight ≈ the dominant allocation: the synthesized test cubes.
-    let weight = usize::try_from(soc.initial_volume_bits() / 8)
-        .unwrap_or(usize::MAX)
-        .saturating_add(4096);
-    // soclint: allow(capture-mut) -- same transparency argument as the lookup above
-    socs.write(|cache| cache.insert(key, Arc::clone(&soc), weight));
-    Ok(soc)
-}
-
-/// Builds an instance's SOC from its source and synthesizes missing test
-/// sets — exactly what the CLI does for a single `plan` run.
-fn build_soc(inst: &Instance) -> Result<Soc, String> {
-    let read =
-        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
-    let mut soc = match &inst.source {
-        SocSource::Builtin(name) => Design::ALL
-            .into_iter()
-            .find(|d| d.name().eq_ignore_ascii_case(name))
-            .map(|d| d.build())
-            .ok_or_else(|| format!("unknown design `{name}`"))?,
-        SocSource::Itc02File(path) => {
-            itc02::parse_itc02(&read(path)?, inst.density)
-                .map_err(|e| format!("{path}: {e}"))?
-                .soc
-        }
-        SocSource::SimpleFile(path) => {
-            parse_soc(&read(path)?).map_err(|e| format!("{path}: {e}"))?
-        }
-    };
-    synthesize_missing_test_sets(&mut soc, inst.seed);
-    Ok(soc)
-}
-
-/// The CLI's mode keywords (mirrored; the manifest validates these at
-/// parse time, this is the defensive second check).
-fn planner_for(mode: &str) -> Option<Planner> {
-    Some(match mode {
-        "no-tdc" => Planner::no_tdc(),
-        "per-core" => Planner::per_core_tdc(),
-        "per-tam" => Planner::per_tam_tdc(),
-        "fixed4" => Planner::fixed_width_tdc(4),
-        "reseed" => Planner::reseeding_tdc(),
-        "fdr" => Planner::fdr_tdc(),
-        "select" => Planner::select_tdc(),
-        _ => return None,
-    })
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ pub struct CacheLimits {
 
 impl CacheLimits {
     /// Caps on both entry count and total weight.
-    pub fn new(max_entries: usize, max_bytes: usize) -> Self {
+    pub const fn new(max_entries: usize, max_bytes: usize) -> Self {
         CacheLimits {
             max_entries,
             max_bytes,

@@ -7,6 +7,10 @@
 //! clock, so the assertions hold on arbitrarily slow CI machines.
 
 #![forbid(unsafe_code)]
+// `robust` owns the workspace's deadlines, so soclint exempts it from the
+// wall-clock ban (`WALL_CLOCK_CRATES`); its deadline tests read the clock
+// the same way.
+#![allow(clippy::disallowed_methods)]
 
 use std::time::{Duration, Instant};
 

@@ -9,8 +9,9 @@
 //!   write-ahead inflight journal ([`session`]); a restart after any
 //!   crash recovers every session and re-executes journaled requests.
 //! * **Bounded resources** — a bounded request queue with explicit load
-//!   shedding ([`queue`]), a bounded plan-text memo, and the bounded
-//!   design/eval/profile caches of the underlying planner.
+//!   shedding ([`queue`]), a bounded plan-text memo, a bounded SOC cache
+//!   (repeat plans skip synthesis), and the bounded design/eval/profile
+//!   caches of the underlying planner.
 //! * **Fault injection** — [`fault`] arms process aborts at named points
 //!   so the crash-recovery story is *tested*, not asserted.
 //!

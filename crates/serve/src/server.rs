@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use robust::{BoundedCache, CacheLimits, CancelToken, Deadline};
-use tdcsoc::{PlanControl, PlanRequest, Planner, ProfileCacheConfig};
+use tdcsoc::{profile_tag, PlanControl, PlanRequest, ProfileCacheConfig};
 
 use crate::fault::FaultPlan;
 use crate::http;
@@ -67,19 +67,7 @@ impl ServeConfig {
     }
 }
 
-/// Maps a wire mode keyword onto a planner (same keywords as the CLI).
-pub fn planner_for(mode: &str) -> Option<Planner> {
-    Some(match mode {
-        "no-tdc" => Planner::no_tdc(),
-        "per-core" => Planner::per_core_tdc(),
-        "per-tam" => Planner::per_tam_tdc(),
-        "fixed4" => Planner::fixed_width_tdc(4),
-        "reseed" => Planner::reseeding_tdc(),
-        "fdr" => Planner::fdr_tdc(),
-        "select" => Planner::select_tdc(),
-        _ => return None,
-    })
-}
+pub use tdcsoc::planner_for;
 
 /// A queued planning job. Journaled before queuing, so it survives a
 /// crash; the reply channel (HTTP) or the event stream (stdio) carries
@@ -101,7 +89,8 @@ struct Counters {
     shed: AtomicU64,
 }
 
-/// Shared daemon state.
+/// Shared daemon state; its store holds the one SOC cache for the
+/// daemon's life.
 struct Ctx {
     store: SessionStore,
     queue: BoundedQueue<PlanJob>,
@@ -150,7 +139,6 @@ fn enqueue_plan(
         return Err((format!("unknown mode `{mode}`"), None));
     }
     let budget_ms = budget_ms.unwrap_or(ctx.default_budget_ms);
-    let request = ctx.store.next_request_id(session);
     let body = obj(vec![
         ("op", Value::Str("plan".into())),
         ("session", Value::Str(session.to_string())),
@@ -162,9 +150,10 @@ fn enqueue_plan(
         ),
     ]);
     // Journal BEFORE queueing: from here on a crash is recoverable.
-    if let Err(e) = ctx.store.journal_inflight(session, &request, &body) {
-        return Err((e.to_string(), None));
-    }
+    let request = ctx
+        .store
+        .journal_next(session, &body)
+        .map_err(|e| (e.to_string(), None))?;
     ctx.faults.point("after-journal");
     let token = CancelToken::never();
     let job = PlanJob {
@@ -228,7 +217,7 @@ fn run_job(ctx: &Arc<Ctx>, job: &PlanJob) -> Value {
         token: job.token.clone(),
         profile_cache: Some(ProfileCacheConfig::new(
             ctx.store.cache_dir(),
-            format!("{}-seed{}-d{:.3}", soc.name(), meta.seed, meta.density),
+            profile_tag(&soc, meta.seed, meta.density),
         )),
         ..PlanControl::default()
     };
@@ -331,8 +320,8 @@ fn plan_text_cached(ctx: &Arc<Ctx>, session: &str, request: &str) -> Option<Stri
 }
 
 fn status_value(ctx: &Arc<Ctx>) -> Value {
-    let memo = ctx.memo.lock().expect("memo poisoned");
-    let stats = memo.stats();
+    let stats = ctx.memo.lock().expect("memo poisoned").stats();
+    let socs = ctx.store.soc_stats();
     let as_int = |n: u64| Value::Int(i64::try_from(n).unwrap_or(i64::MAX));
     let usize_int = |n: usize| Value::Int(i64::try_from(n).unwrap_or(i64::MAX));
     obj(vec![
@@ -348,6 +337,9 @@ fn status_value(ctx: &Arc<Ctx>) -> Value {
         ("memo_hits", as_int(stats.hits)),
         ("memo_misses", as_int(stats.misses)),
         ("memo_evictions", as_int(stats.evictions)),
+        ("soc_hits", as_int(socs.hits)),
+        ("soc_misses", as_int(socs.misses)),
+        ("soc_evictions", as_int(socs.evictions)),
     ])
 }
 
@@ -907,7 +899,81 @@ mod tests {
         let text = plan_text_cached(&ctx, "s", &request).unwrap();
         assert!(tdcsoc::parse_plan(&text).is_ok());
         assert!(ctx.store.recover().inflight.is_empty());
-        assert_eq!(ctx.memo.lock().unwrap().stats().hits >= 1, true);
+        assert!(ctx.memo.lock().unwrap().stats().hits >= 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn repeat_plans_on_a_session_hit_the_soc_cache() {
+        let root = tmp_root("soc-cache");
+        let ctx = test_ctx(&root);
+        handle_stdio(
+            &ctx,
+            1,
+            &Request::Open {
+                session: "s".into(),
+                source: DesignSource::Benchmark("d695".into()),
+                seed: 1,
+                density: 0.5,
+            },
+        );
+        let soc_counters = || {
+            let status = status_value(&ctx);
+            ["soc_hits", "soc_misses", "soc_evictions"]
+                .map(|field| status.field(field).and_then(Value::as_u64).unwrap())
+        };
+        assert_eq!(soc_counters(), [0, 0, 0]);
+        let mut plans = Vec::new();
+        for expected in [[0, 1, 0], [1, 1, 0]] {
+            let (request, _) = enqueue_plan(&ctx, "s", "no-tdc", 16, Some(0), None).unwrap();
+            let job = ctx.queue.pop().unwrap();
+            let done = run_job(&ctx, &job);
+            assert_eq!(done.field("event"), Some(&Value::Str("plan-done".into())));
+            assert_eq!(soc_counters(), expected);
+            plans.push(ctx.store.plan_text("s", &request).unwrap());
+        }
+        assert_eq!(plans[0], plans[1], "a cache hit must plan like a miss");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn concurrent_enqueues_get_distinct_request_ids() {
+        const THREADS: usize = 8;
+        let root = tmp_root("ids");
+        let ctx = Arc::new(Ctx {
+            queue: BoundedQueue::new(THREADS),
+            ..Arc::into_inner(test_ctx(&root)).unwrap()
+        });
+        ctx.store
+            .create_session("s", &DesignSource::Benchmark("d695".into()), 1, 0.5)
+            .unwrap();
+        let mut seen = std::collections::BTreeSet::new();
+        for round in 0..20 {
+            let start = std::sync::Barrier::new(THREADS);
+            let ids: Vec<String> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            enqueue_plan(&ctx, "s", "no-tdc", 8, Some(0), None)
+                                .map(|(request, _)| request)
+                                .unwrap()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for id in ids {
+                assert!(
+                    seen.insert(id.clone()),
+                    "round {round}: id {id} issued twice"
+                );
+            }
+            while !ctx.queue.is_empty() {
+                ctx.queue.pop();
+            }
+        }
+        assert_eq!(ctx.store.recover().inflight.len(), 20 * THREADS);
         let _ = std::fs::remove_dir_all(&root);
     }
 

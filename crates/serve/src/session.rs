@@ -24,11 +24,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use soc_model::benchmarks::Design;
-use soc_model::generator::synthesize_missing_test_sets;
-use soc_model::itc02::parse_itc02;
+use robust::CacheStats;
 use soc_model::Soc;
+use tdcsoc::{SocCache, SocContent, SocSource};
 
 use crate::json::{self, obj, Value};
 
@@ -137,11 +137,15 @@ pub struct Recovery {
     pub quarantined: Vec<String>,
 }
 
-/// The daemon's persistent state root.
+/// The daemon's persistent state root, with the SOC cache that serves
+/// every session's plans for the store's life.
 #[derive(Debug)]
 pub struct SessionStore {
     root: PathBuf,
     quarantine_seq: std::sync::atomic::AtomicU64,
+    /// Serializes request-id allocation with its journal write.
+    journal: Mutex<()>,
+    socs: SocCache,
 }
 
 /// Validates a client-supplied name used as a path component: short,
@@ -177,6 +181,8 @@ impl SessionStore {
         Ok(SessionStore {
             root,
             quarantine_seq: std::sync::atomic::AtomicU64::new(0),
+            journal: Mutex::new(()),
+            socs: SocCache::new(SocCache::DEFAULT_LIMITS),
         })
     }
 
@@ -239,34 +245,25 @@ impl SessionStore {
                 "density {density} outside [0,1]"
             )));
         }
-        let meta = match source {
+        // Validate before persisting: a design that cannot parse must be
+        // rejected at upload, not at plan time.
+        let (kind, benchmark) = match source {
             DesignSource::Benchmark(bench) => {
-                if !Design::ALL.iter().any(|d| d.name() == bench) {
-                    return Err(ServeError::BadRequest(format!(
-                        "unknown benchmark `{bench}`"
-                    )));
-                }
-                SessionMeta {
-                    name: name.to_string(),
-                    kind: "benchmark".to_string(),
-                    benchmark: Some(bench.clone()),
-                    seed,
-                    density,
-                }
+                SocSource::builtin(bench).map_err(ServeError::BadRequest)?;
+                ("benchmark", Some(bench.clone()))
             }
             DesignSource::Itc02(text) => {
-                // Validate before persisting: a design that cannot parse
-                // must be rejected at upload, not at plan time.
-                parse_itc02(text, density)
-                    .map_err(|e| ServeError::BadRequest(format!("itc02: {e}")))?;
-                SessionMeta {
-                    name: name.to_string(),
-                    kind: "itc02".to_string(),
-                    benchmark: None,
-                    seed,
-                    density,
-                }
+                let content = SocContent::Itc02(text.clone());
+                content.parse(density).map_err(ServeError::BadRequest)?;
+                ("itc02", None)
             }
+        };
+        let meta = SessionMeta {
+            name: name.to_string(),
+            kind: kind.to_string(),
+            benchmark,
+            seed,
+            density,
         };
         let dir = self.session_dir(name);
         for sub in ["plans", "inflight"] {
@@ -291,37 +288,42 @@ impl SessionStore {
         (meta.name == name).then_some(meta)
     }
 
-    /// Builds the session's SOC with cubes attached — deterministic in
-    /// (source, seed, density), so a rebuild after a crash or cache loss
-    /// produces the identical model.
+    /// The session's SOC with cubes attached, from the store's SOC cache.
+    /// `design.itc02` is re-read on every call and the cache keys by its
+    /// content, so an edited design is rebuilt, or fails here.
     ///
     /// # Errors
     ///
     /// [`ServeError::NotFound`] for missing designs,
-    /// [`ServeError::Io`]/[`ServeError::BadRequest`] for unreadable or
-    /// corrupt design files (caller quarantines).
-    pub fn load_soc(&self, meta: &SessionMeta) -> Result<Soc, ServeError> {
-        match (&meta.kind[..], &meta.benchmark) {
-            ("benchmark", Some(bench)) => Design::ALL
-                .iter()
-                .find(|d| d.name() == bench.as_str())
-                .map(|d| d.build_with_cubes(meta.seed))
-                .ok_or_else(|| ServeError::NotFound(format!("benchmark `{bench}`"))),
+    /// [`ServeError::BadRequest`] for corrupt design files or descriptors
+    /// (caller quarantines).
+    pub fn load_soc(&self, meta: &SessionMeta) -> Result<Arc<Soc>, ServeError> {
+        let content = match (&meta.kind[..], &meta.benchmark) {
+            ("benchmark", Some(bench)) => SocSource::Builtin(bench.clone())
+                .read()
+                .map_err(ServeError::NotFound)?,
             ("itc02", _) => {
                 let path = self.session_dir(&meta.name).join("design.itc02");
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|_| ServeError::NotFound(format!("design for `{}`", meta.name)))?;
-                let mut soc = parse_itc02(&text, meta.density)
-                    .map_err(|e| ServeError::BadRequest(format!("itc02: {e}")))?
-                    .soc;
-                synthesize_missing_test_sets(&mut soc, meta.seed);
-                Ok(soc)
+                SocContent::Itc02(
+                    std::fs::read_to_string(&path)
+                        .map_err(|_| ServeError::NotFound(format!("design for `{}`", meta.name)))?,
+                )
             }
-            _ => Err(ServeError::BadRequest(format!(
-                "session `{}` has a malformed descriptor",
-                meta.name
-            ))),
-        }
+            _ => {
+                return Err(ServeError::BadRequest(format!(
+                    "session `{}` has a malformed descriptor",
+                    meta.name
+                )))
+            }
+        };
+        self.socs
+            .get(content, meta.seed, meta.density)
+            .map_err(ServeError::BadRequest)
+    }
+
+    /// Hit, miss and eviction counters of the store's SOC cache.
+    pub fn soc_stats(&self) -> CacheStats {
+        self.socs.stats()
     }
 
     /// Lists the names of sessions with a readable, valid descriptor.
@@ -357,6 +359,20 @@ impl SessionStore {
             }
         }
         format!("{:04}", max.saturating_add(1))
+    }
+
+    /// Allocates the next request id for `session` and journals `body`
+    /// under it, as one step under the store's lock, so concurrent callers
+    /// never share an id.
+    ///
+    /// # Errors
+    ///
+    /// As [`SessionStore::journal_inflight`].
+    pub fn journal_next(&self, session: &str, body: &Value) -> Result<String, ServeError> {
+        let _guard = self.journal.lock().unwrap_or_else(PoisonError::into_inner);
+        let request = self.next_request_id(session);
+        self.journal_inflight(session, &request, body)?;
+        Ok(request)
     }
 
     /// Journals an accepted plan request before execution (atomic).
@@ -466,15 +482,15 @@ impl SessionStore {
                 }
                 continue;
             };
-            // The design must actually load (catches corrupt uploads).
-            if let Err(e) = self.load_soc(&meta) {
+            // The design must actually load (catches corrupt uploads); a
+            // good one stays cached for the session's first plan.
+            if self.load_soc(&meta).is_err() {
                 let design = dir.join("design.itc02");
                 if design.exists() {
                     if let Some(q) = self.quarantine(&design) {
                         recovery.quarantined.push(q);
                     }
                 }
-                let _ = e;
                 continue;
             }
             // Completed plans must still parse.

@@ -45,7 +45,7 @@ pub const D2758_CARE_DENSITY: f64 = 0.44;
 /// let prepared = Design::D695.build_with_cubes(42);
 /// assert!(prepared.cores().iter().all(|c| c.test_set().is_some()));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Design {
     /// ITC'02 benchmark d695 (10 ISCAS cores).
     D695,

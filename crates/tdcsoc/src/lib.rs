@@ -41,6 +41,7 @@ mod decisions;
 mod planfile;
 mod planner;
 mod response;
+mod source;
 mod truncate;
 mod vectors;
 
@@ -53,5 +54,6 @@ pub use planner::{
     PlanStats, Planner,
 };
 pub use response::{plan_response_compaction, CompactorSetting, ResponsePlan};
+pub use source::{planner_for, profile_tag, SocCache, SocContent, SocSource};
 pub use truncate::{truncate_to_fit, TruncateError, Truncation};
 pub use vectors::{export_image, verify_image, ImageError, TamImage, TesterImage};

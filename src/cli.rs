@@ -7,13 +7,10 @@
 use std::fmt;
 
 use crate::model::benchmarks::Design;
-use crate::model::format::parse_soc;
-use crate::model::generator::synthesize_missing_test_sets;
-use crate::model::itc02::{parse_itc02, write_itc02};
-use crate::model::Soc;
+use crate::model::itc02::write_itc02;
 use crate::planner::{
-    export_image, parse_plan, verify_image, write_plan, Budget, DecisionConfig, PlanControl,
-    PlanRequest, Planner,
+    export_image, parse_plan, planner_for, profile_tag, verify_image, write_plan, Budget,
+    DecisionConfig, PlanControl, PlanRequest, Planner, SocSource,
 };
 use crate::selenc::{generate_verilog, CoreProfile, ProfileConfig, SliceCode, SliceStats};
 use crate::tam::{render_gantt, ArchitectureOptions, CostModel};
@@ -81,17 +78,6 @@ pub struct ServeArgs {
     pub queue_cap: Option<usize>,
     /// Default wall-clock budget (ms) for plan requests without one.
     pub default_budget_ms: Option<u64>,
-}
-
-/// Where an SOC comes from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SocSource {
-    /// A file in the simple line format.
-    SimpleFile(String),
-    /// A file in ITC'02 format.
-    Itc02File(String),
-    /// A built-in benchmark design.
-    Builtin(Design),
 }
 
 /// Arguments of `soctdc plan`.
@@ -241,6 +227,13 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// A failure message from a downstream layer (an SOC source, say).
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Run(message.into())
+    }
+}
+
 /// The usage text (`soctdc help`).
 pub const USAGE: &str = "\
 soctdc — SOC test-architecture optimization with core-level decompression
@@ -339,12 +332,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             "--soc" => source = Some(SocSource::SimpleFile(value("--soc")?)),
             "--itc02" => source = Some(SocSource::Itc02File(value("--itc02")?)),
             "--design" => {
-                let name = value("--design")?;
-                let d = Design::ALL
-                    .into_iter()
-                    .find(|d| d.name().eq_ignore_ascii_case(&name))
-                    .ok_or_else(|| usage(&format!("unknown design `{name}`")))?;
-                source = Some(SocSource::Builtin(d));
+                source = Some(SocSource::builtin(&value("--design")?).map_err(|e| usage(&e))?);
             }
             "--width" => width = Some(parse_num(&value("--width")?, "--width")?),
             "--ate" => ate = Some(parse_num(&value("--ate")?, "--ate")?),
@@ -512,44 +500,9 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, CliError> {
         .map_err(|_| CliError::Usage(format!("{flag}: invalid number `{s}`")))
 }
 
-/// Loads an SOC from a source (no cubes attached yet).
-fn load_soc(source: &SocSource, density: f64) -> Result<Soc, CliError> {
-    let read = |path: &str| {
-        std::fs::read_to_string(path)
-            .map_err(|e| CliError::Run(format!("cannot read {path}: {e}").into()))
-    };
-    match source {
-        SocSource::SimpleFile(path) => {
-            parse_soc(&read(path)?).map_err(|e| CliError::Run(Box::new(e)))
-        }
-        SocSource::Itc02File(path) => {
-            let parsed =
-                parse_itc02(&read(path)?, density).map_err(|e| CliError::Run(Box::new(e)))?;
-            if !parsed.skipped_modules.is_empty() {
-                eprintln!(
-                    "note: skipped untestable modules {:?}",
-                    parsed.skipped_modules
-                );
-            }
-            Ok(parsed.soc)
-        }
-        SocSource::Builtin(d) => Ok(d.build()),
-    }
-}
-
-fn planner_for(mode: &str) -> Result<Planner, CliError> {
-    Ok(match mode {
-        "no-tdc" => Planner::no_tdc(),
-        "per-core" => Planner::per_core_tdc(),
-        "per-tam" => Planner::per_tam_tdc(),
-        "fixed4" => Planner::fixed_width_tdc(4),
-        "reseed" => Planner::reseeding_tdc(),
-        "fdr" => Planner::fdr_tdc(),
-        "select" => Planner::select_tdc(),
-        other => {
-            return Err(CliError::Usage(format!("unknown mode `{other}`")));
-        }
-    })
+/// The planner for a `--mode` keyword.
+fn planner(mode: &str) -> Result<Planner, CliError> {
+    planner_for(mode).ok_or_else(|| CliError::Usage(format!("unknown mode `{mode}`")))
 }
 
 /// Resolves a `--workers` value: `0` means one per available CPU.
@@ -718,7 +671,7 @@ pub fn run(command: &Command, out: &mut dyn std::io::Write) -> Result<(), CliErr
             Ok(())
         }
         Command::Convert(args) => {
-            let soc = load_soc(&args.source, args.density)?;
+            let soc = args.source.read().and_then(|c| c.parse(args.density))?;
             let text = match args.to.as_str() {
                 "itc02" => write_itc02(&soc),
                 "simple" => crate::model::format::write_soc(&soc),
@@ -731,9 +684,8 @@ pub fn run(command: &Command, out: &mut dyn std::io::Write) -> Result<(), CliErr
             write!(out, "{text}").map_err(io_err)
         }
         Command::Truncate(args) => {
-            let mut soc = load_soc(&args.source, args.density)?;
-            synthesize_missing_test_sets(&mut soc, args.seed);
-            let planner = planner_for(&args.mode)?;
+            let soc = args.source.build(args.seed, args.density)?;
+            let planner = planner(&args.mode)?;
             let request = PlanRequest {
                 budget: args.budget,
                 decisions: args.decisions.clone(),
@@ -755,7 +707,7 @@ pub fn run(command: &Command, out: &mut dyn std::io::Write) -> Result<(), CliErr
             .map_err(io_err)
         }
         Command::Info(args) => {
-            let soc = load_soc(&args.source, args.density)?;
+            let soc = args.source.read().and_then(|c| c.parse(args.density))?;
             writeln!(out, "{soc}").map_err(io_err)?;
             writeln!(
                 out,
@@ -788,8 +740,7 @@ pub fn run(command: &Command, out: &mut dyn std::io::Write) -> Result<(), CliErr
             Ok(())
         }
         Command::Verify(args) => {
-            let mut soc = load_soc(&args.source, args.density)?;
-            synthesize_missing_test_sets(&mut soc, args.seed);
+            let soc = args.source.build(args.seed, args.density)?;
             let text = std::fs::read_to_string(&args.plan)
                 .map_err(|e| CliError::Run(format!("cannot read {}: {e}", args.plan).into()))?;
             let plan = parse_plan(&text).map_err(|e| CliError::Run(Box::new(e)))?;
@@ -811,8 +762,7 @@ pub fn run(command: &Command, out: &mut dyn std::io::Write) -> Result<(), CliErr
             write!(out, "{}", generate_verilog(code, &args.module)).map_err(io_err)
         }
         Command::Stats(args) => {
-            let mut soc = load_soc(&args.source, args.density)?;
-            synthesize_missing_test_sets(&mut soc, args.seed);
+            let soc = args.source.build(args.seed, args.density)?;
             let Some((_, core)) = soc.core_by_name(&args.core) else {
                 return Err(CliError::Run(
                     format!("no core named {:?} in {}", args.core, soc.name()).into(),
@@ -822,8 +772,7 @@ pub fn run(command: &Command, out: &mut dyn std::io::Write) -> Result<(), CliErr
             writeln!(out, "{stats:#?}").map_err(io_err)
         }
         Command::Profile(args) => {
-            let mut soc = load_soc(&args.source, args.density)?;
-            synthesize_missing_test_sets(&mut soc, args.seed);
+            let soc = args.source.build(args.seed, args.density)?;
             let Some((_, core)) = soc.core_by_name(&args.core) else {
                 return Err(CliError::Run(
                     format!("no core named {:?} in {}", args.core, soc.name()).into(),
@@ -838,9 +787,8 @@ pub fn run(command: &Command, out: &mut dyn std::io::Write) -> Result<(), CliErr
             write!(out, "{profile}").map_err(io_err)
         }
         Command::Plan(args) => {
-            let mut soc = load_soc(&args.source, args.density)?;
-            synthesize_missing_test_sets(&mut soc, args.seed);
-            let planner = planner_for(&args.mode)?;
+            let soc = args.source.build(args.seed, args.density)?;
+            let planner = planner(&args.mode)?;
             let request = PlanRequest {
                 budget: args.budget,
                 decisions: args.decisions.clone(),
@@ -857,11 +805,8 @@ pub fn run(command: &Command, out: &mut dyn std::io::Write) -> Result<(), CliErr
                 control = control.checkpoint_to(path);
             }
             if let Some(dir) = &args.profile_cache {
-                // The tag pins the test-set identity (design, synthesis
-                // seed, ITC'02 care density); the planner adds the width
-                // budget and fidelity knobs to each file name itself.
-                let tag = format!("{}-seed{}-d{:.3}", soc.name(), args.seed, args.density);
-                control = control.cache_profiles_in(dir, tag);
+                control =
+                    control.cache_profiles_in(dir, profile_tag(&soc, args.seed, args.density));
             }
             if let Some(path) = &args.resume {
                 let text = std::fs::read_to_string(path)
