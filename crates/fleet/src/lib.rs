@@ -15,7 +15,9 @@
 //! bounded per design, and the shared on-disk profile cache uses the
 //! sharded concurrent-writer-safe layout from `tdcsoc` — so instances that
 //! share cores (the same ITC'02 file at several widths) reuse each other's
-//! operating-point profiles across the whole batch.
+//! operating-point profiles across the whole batch. With that cache, the
+//! widest instance of each profile key plans first, so each profile is
+//! built once.
 //!
 //! ```
 //! let manifest = fleet::Manifest::parse("design d695 widths=12 sample=4 mcand=4\n").unwrap();
@@ -32,6 +34,6 @@ mod runner;
 pub use manifest::{Instance, Manifest, ManifestError};
 pub use runner::{
     ndjson_line, run_fleet, run_fleet_with, FleetHooks, FleetOptions, FleetReport, FleetSummary,
-    InstanceOutcome, InstanceReport,
+    InstanceOutcome, InstanceReport, PhaseSplit,
 };
 pub use tdcsoc::SocSource;

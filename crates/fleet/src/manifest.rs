@@ -23,10 +23,18 @@
 //!   the CLI); `exact` — full-fidelity evaluation; `density=` — ITC'02
 //!   care-bit density (default 0.02).
 //!
+//! Each instance's id — its plan file's name and its `--resume` key — is
+//! `<label>-w<width>-seed<seed>`, with `-<mode>` appended when the mode
+//! is not `per-core`. Two instances may share an id only if they are
+//! identical (a repeated width, a repeated line).
+//!
 //! The parser is panic-free and bounds every expansion: a manifest that
 //! would exceed [`Manifest::MAX_INSTANCES`] instances (or a single line
 //! exceeding [`Manifest::MAX_PER_LINE`]) is rejected with an error naming
 //! the line, never truncated silently.
+
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use tdcsoc::{planner_for, DecisionConfig, SocSource};
 
@@ -44,7 +52,9 @@ fn source_label(source: &SocSource) -> String {
 /// planning job with its fidelity knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
-    /// Deterministic human-readable label (`<source>-w<width>-seed<seed>`).
+    /// Deterministic human-readable label, unique in its manifest:
+    /// `<source>-w<width>-seed<seed>`, plus `-<mode>` when the mode is not
+    /// `per-core`.
     pub id: String,
     /// The SOC to plan.
     pub source: SocSource,
@@ -100,10 +110,14 @@ impl Manifest {
     /// # Errors
     ///
     /// Returns a [`ManifestError`] naming the first offending line for
-    /// unknown keywords, malformed values, unknown designs or modes, and
-    /// expansions beyond the instance caps.
+    /// unknown keywords, malformed values, unknown designs or modes,
+    /// expansions beyond the instance caps, and an id that an earlier
+    /// line already gave to a different instance (their plan files would
+    /// overwrite each other). Identical repeats are allowed.
     pub fn parse(text: &str) -> Result<Manifest, ManifestError> {
-        let mut instances = Vec::new();
+        let mut instances: Vec<Instance> = Vec::new();
+        // Each id's first instance, as (line, index into `instances`).
+        let mut ids: BTreeMap<String, (usize, usize)> = BTreeMap::new();
         for (i, raw) in text.lines().enumerate() {
             let lineno = i.saturating_add(1);
             let line = raw.split('#').next().unwrap_or("").trim();
@@ -121,7 +135,27 @@ impl Manifest {
                     ),
                 ));
             }
-            instances.extend(expanded);
+            for inst in expanded {
+                match ids.entry(inst.id.clone()) {
+                    Entry::Vacant(slot) => {
+                        slot.insert((lineno, instances.len()));
+                    }
+                    Entry::Occupied(slot) => {
+                        let (first_line, first) = *slot.get();
+                        if instances.get(first) != Some(&inst) {
+                            return Err(err(
+                                lineno,
+                                format!(
+                                    "instance `{}` differs from line {first_line}'s instance \
+                                     of the same id (source, sample, mcand, exact or density)",
+                                    inst.id
+                                ),
+                            ));
+                        }
+                    }
+                }
+                instances.push(inst);
+            }
             if instances.len() > Self::MAX_INSTANCES {
                 return Err(err(
                     lineno,
@@ -258,6 +292,11 @@ fn parse_line(line: &str, lineno: usize) -> Result<Vec<Instance>, ManifestError>
     };
 
     let label = source_label(&source);
+    let suffix = if mode == "per-core" {
+        String::new()
+    } else {
+        format!("-{mode}")
+    };
     let mut out = Vec::new();
     for &seed in &seeds {
         for &width in &widths {
@@ -273,7 +312,7 @@ fn parse_line(line: &str, lineno: usize) -> Result<Vec<Instance>, ManifestError>
                 ));
             }
             out.push(Instance {
-                id: format!("{label}-w{width}-seed{seed}"),
+                id: format!("{label}-w{width}-seed{seed}{suffix}"),
                 source: source.clone(),
                 width,
                 seed,
@@ -450,5 +489,54 @@ mod tests {
     fn file_sources_label_by_stem() {
         let m = Manifest::parse("itc02 deep/dir/p22810.soc widths=4\n").unwrap();
         assert_eq!(m.instances[0].id, "p22810-w4-seed2008");
+    }
+
+    #[test]
+    fn ids_name_the_mode_unless_per_core() {
+        let m = Manifest::parse(
+            "design d695 widths=12\n\
+             design d695 widths=12 mode=no-tdc\n\
+             design d695 widths=12 mode=select\n\
+             design d695 widths=16 mode=per-core\n",
+        )
+        .unwrap();
+        let ids: Vec<&str> = m.instances.iter().map(|i| i.id.as_str()).collect();
+        assert_eq!(
+            ids,
+            [
+                "d695-w12-seed2008",
+                "d695-w12-seed2008-no-tdc",
+                "d695-w12-seed2008-select",
+                "d695-w16-seed2008",
+            ]
+        );
+    }
+
+    #[test]
+    fn an_id_shared_by_different_instances_names_both_lines() {
+        for second in [
+            "design d695 widths=12 sample=8 mcand=4",
+            "design d695 widths=12 sample=4 mcand=8",
+            "design d695 widths=12 exact",
+            "design d695 widths=12 sample=4 mcand=4 density=0.5",
+            "soc other/d695.soc widths=12 sample=4 mcand=4",
+        ] {
+            let text = format!("design d695 widths=12 sample=4 mcand=4\n# note\n{second}\n");
+            let e = Manifest::parse(&text).unwrap_err();
+            assert_eq!(e.line, 3, "{second}");
+            assert!(e.message.contains("d695-w12-seed2008"), "{}", e.message);
+            assert!(e.message.contains("line 1"), "{}", e.message);
+        }
+    }
+
+    #[test]
+    fn identical_repeats_stay_legal() {
+        let m = Manifest::parse(
+            "design d695 widths=12,12 sample=4 mcand=4\n\
+             design d695 widths=12 sample=4 mcand=4 mode=per-core\n",
+        )
+        .unwrap();
+        assert_eq!(m.len(), 3);
+        assert!(m.instances.iter().all(|i| *i == m.instances[0]));
     }
 }

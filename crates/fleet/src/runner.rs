@@ -9,6 +9,13 @@
 //! would produce, and eviction merely forces the rebuild — so the worker
 //! split and cache interleaving can change throughput and counters, never
 //! plans.
+//!
+//! With a profile cache the batch runs in two phases. Phase 1 plans the
+//! *leaders* — for each profile key, the widest instance that reads the
+//! cache (the first in manifest order on a tie), plus every instance that
+//! does not read it. Phase 2 plans the *followers*, which then find their
+//! key's full-width profiles on disk: a core's table at `W` is a prefix of
+//! its table at any wider width, so each profile is built once.
 
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
@@ -20,6 +27,7 @@ use parpool::{split_budget, Pool};
 use robust::{CacheLimits, CacheStats};
 use tdcsoc::{
     planner_for, profile_tag, Plan, PlanControl, PlanOutcome, PlanRequest, PlanStats, SocCache,
+    SocSource,
 };
 
 use crate::manifest::{Instance, Manifest};
@@ -148,12 +156,28 @@ pub struct FleetSummary {
     /// Counters of the shared design-instance cache (hits mean a SOC
     /// build + test-set synthesis was skipped).
     pub soc_cache: CacheStats,
-    /// Outer (design-granularity) worker count actually used.
+    /// Outer (design-granularity) worker count of the phase that planned
+    /// the most instances (the followers' on a tie).
     pub outer_workers: usize,
-    /// Inner (per-design table) worker count handed to each plan.
+    /// Inner (per-design table) worker count that phase handed each plan.
     pub inner_workers: usize,
+    /// How each phase split the budget: the leaders', then the
+    /// followers' when there are any.
+    pub phases: Vec<PhaseSplit>,
     /// The resolved total budget (`outer × inner ≤ budget`).
     pub budget: usize,
+}
+
+/// How one planning phase divided the worker budget
+/// ([`parpool::split_budget`] over the phase's instance count).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PhaseSplit {
+    /// Instances the phase planned.
+    pub instances: usize,
+    /// Outer (design-granularity) workers.
+    pub outer: usize,
+    /// Inner (per-design table) workers handed to each plan.
+    pub inner: usize,
 }
 
 impl std::fmt::Display for FleetSummary {
@@ -168,11 +192,25 @@ impl std::fmt::Display for FleetSummary {
             self.elapsed_s,
             self.designs_per_sec
         )?;
-        writeln!(
-            f,
-            "workers: budget {} = {} outer x {} inner",
-            self.budget, self.outer_workers, self.inner_workers
-        )?;
+        match self.phases.as_slice() {
+            [lead, follow] => writeln!(
+                f,
+                "workers: budget {} = {} outer x {} inner for {} leaders, \
+                 {} outer x {} inner for {} followers",
+                self.budget,
+                lead.outer,
+                lead.inner,
+                lead.instances,
+                follow.outer,
+                follow.inner,
+                follow.instances
+            )?,
+            _ => writeln!(
+                f,
+                "workers: budget {} = {} outer x {} inner",
+                self.budget, self.outer_workers, self.inner_workers
+            )?,
+        }
         writeln!(
             f,
             "latency: p50 {:.1} ms, p99 {:.1} ms",
@@ -237,29 +275,93 @@ pub fn run_fleet_with(manifest: &Manifest, opts: &FleetOptions, hooks: &FleetHoo
     } else {
         opts.workers
     };
-    let (outer, inner) = split_budget(budget, manifest.len());
 
     let socs = SocCache::new(opts.soc_cache);
-    let tasks: Vec<_> = manifest
-        .instances
-        .iter()
-        .map(|inst| {
-            let socs = &socs;
-            move || {
-                let report = plan_instance(inst, inner, opts, socs);
-                if let Some(on_report) = hooks.on_report {
-                    on_report(&report);
+    let (leaders, followers) = leaders_and_followers(manifest, opts.profile_cache.is_some());
+    let mut slots: Vec<Option<InstanceReport>> = vec![None; manifest.len()];
+    let mut phases = Vec::with_capacity(2);
+    for phase in [leaders, followers] {
+        // An empty followers' phase is skipped; the leaders' always runs,
+        // so an empty manifest still reports a split.
+        if phase.is_empty() && !phases.is_empty() {
+            continue;
+        }
+        let (outer, inner) = split_budget(budget, phase.len());
+        let tasks: Vec<_> = phase
+            .iter()
+            .filter_map(|&i| manifest.instances.get(i))
+            .map(|inst| {
+                let socs = &socs;
+                move || {
+                    let report = plan_instance(inst, inner, opts, socs);
+                    if let Some(on_report) = hooks.on_report {
+                        on_report(&report);
+                    }
+                    report
                 }
-                report
+            })
+            .collect();
+        let reports = Pool::with_workers(outer).labeled("fleet").run(tasks);
+        for (&i, report) in phase.iter().zip(reports) {
+            if let Some(slot) = slots.get_mut(i) {
+                *slot = Some(report);
             }
-        })
-        .collect();
-    let instances = Pool::with_workers(outer).labeled("fleet").run(tasks);
+        }
+        phases.push(PhaseSplit {
+            instances: phase.len(),
+            outer,
+            inner,
+        });
+    }
+    let instances: Vec<InstanceReport> = slots.into_iter().flatten().collect();
 
     let elapsed_s = t0.elapsed().as_secs_f64();
     let soc_cache = socs.stats();
-    let summary = summarize(&instances, elapsed_s, soc_cache, outer, inner, budget);
+    let summary = summarize(&instances, elapsed_s, soc_cache, phases, budget);
     FleetReport { instances, summary }
+}
+
+/// What an instance's profiles are cached under: its source, seed,
+/// density bits and fidelity (pattern sample, `m` candidates). The mode
+/// is not part of it: every mode that reads the cache shares the entries.
+type ProfileKey<'a> = (&'a SocSource, u64, u64, Option<usize>, usize);
+
+/// Splits the manifest's indices into leaders and followers, each in
+/// manifest order. Without a profile cache every instance leads.
+/// Otherwise an instance whose planner reads the cache follows when
+/// another instance of its profile key plans a wider TAM, or the same
+/// width earlier in the manifest; the rest lead.
+fn leaders_and_followers(manifest: &Manifest, cached: bool) -> (Vec<usize>, Vec<usize>) {
+    if !cached {
+        return ((0..manifest.len()).collect(), Vec::new());
+    }
+    // Each key's leader as (width, index): the widest, first on a tie.
+    let mut widest: BTreeMap<ProfileKey<'_>, (u32, usize)> = BTreeMap::new();
+    let keys: Vec<Option<ProfileKey<'_>>> = manifest.instances.iter().map(profile_key).collect();
+    for (i, (inst, k)) in manifest.instances.iter().zip(&keys).enumerate() {
+        if let Some(k) = k {
+            let lead = widest.entry(*k).or_insert((inst.width, i));
+            if inst.width > lead.0 {
+                *lead = (inst.width, i);
+            }
+        }
+    }
+    (0..manifest.len()).partition(|&i| match keys.get(i).copied().flatten() {
+        Some(k) => widest.get(&k).is_some_and(|&(_, lead)| lead == i),
+        None => true,
+    })
+}
+
+/// The instance's profile key, if its planner reads the profile cache.
+fn profile_key(inst: &Instance) -> Option<ProfileKey<'_>> {
+    let reads = planner_for(&inst.mode).is_some_and(|p| p.reads_profile_cache());
+    reads.then_some((
+        &inst.source,
+        inst.seed,
+        inst.density.to_bits(),
+        inst.decisions.pattern_sample,
+        inst.decisions.m_candidates,
+    ))
 }
 
 /// Builds the aggregate summary from the ordered per-instance reports.
@@ -267,10 +369,14 @@ fn summarize(
     instances: &[InstanceReport],
     elapsed_s: f64,
     soc_cache: CacheStats,
-    outer: usize,
-    inner: usize,
+    phases: Vec<PhaseSplit>,
     budget: usize,
 ) -> FleetSummary {
+    let largest = phases
+        .iter()
+        .max_by_key(|p| p.instances)
+        .copied()
+        .unwrap_or_default();
     let mut outcomes: BTreeMap<String, usize> = BTreeMap::new();
     let mut stats = PlanStats::default();
     let mut latencies: Vec<f64> = Vec::with_capacity(instances.len());
@@ -312,8 +418,9 @@ fn summarize(
         p99_ms: nearest_rank(&latencies, 99),
         stats,
         soc_cache,
-        outer_workers: outer,
-        inner_workers: inner,
+        outer_workers: largest.outer,
+        inner_workers: largest.inner,
+        phases,
         budget,
     }
 }
@@ -508,6 +615,90 @@ mod tests {
     }
 
     #[test]
+    fn the_widest_instance_of_each_profile_key_leads() {
+        let manifest = Manifest::parse(
+            "design d695 widths=8,12,10 sample=4 mcand=4\n\
+             design d695 widths=12 sample=4 mcand=4 mode=select\n\
+             design d695 widths=16 sample=4 mcand=4 mode=no-tdc\n\
+             design d695 widths=9 sample=8 mcand=4\n\
+             design d695 widths=8 seeds=1 sample=4 mcand=4\n",
+        )
+        .unwrap();
+        // w12 leads its key (the select w12 ties and follows); no-tdc
+        // reads no cache; other fidelities and seeds are other keys.
+        assert_eq!(
+            leaders_and_followers(&manifest, true),
+            (vec![1, 4, 5, 6], vec![0, 2, 3])
+        );
+        assert_eq!(
+            leaders_and_followers(&manifest, false),
+            ((0..7).collect(), Vec::new())
+        );
+    }
+
+    #[test]
+    fn followers_hit_the_profiles_their_leader_built() {
+        let dir = std::env::temp_dir().join(format!("fleet-phases-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let manifest = Manifest::parse(
+            "design d695 widths=8,12,10 sample=4 mcand=4\n\
+             design d695 widths=10 sample=4 mcand=4 mode=select\n",
+        )
+        .unwrap();
+        for workers in [1, 2, 4] {
+            let cache = dir.join(format!("cache-{workers}"));
+            let report = run_fleet(
+                &manifest,
+                &FleetOptions {
+                    workers,
+                    profile_cache: Some(cache),
+                    ..FleetOptions::default()
+                },
+            );
+            let s = &report.summary;
+            assert_eq!(s.planned, 4, "workers {workers}");
+            // d695's ten cores are built once, at width 12.
+            assert_eq!(
+                (
+                    s.stats.profile_misses,
+                    s.stats.profile_partial_hits,
+                    s.stats.profile_hits
+                ),
+                (10, 0, 30),
+                "workers {workers}"
+            );
+            assert_eq!(s.stats.widths_computed, 10 * 12, "workers {workers}");
+            assert_eq!((s.soc_cache.misses, s.soc_cache.hits), (1, 3));
+            let (outer, inner) = split_budget(workers, 3);
+            assert_eq!(
+                s.phases,
+                [
+                    PhaseSplit {
+                        instances: 1,
+                        outer: 1,
+                        inner: workers
+                    },
+                    PhaseSplit {
+                        instances: 3,
+                        outer,
+                        inner
+                    }
+                ]
+            );
+            assert_eq!((s.outer_workers, s.inner_workers), (outer, inner));
+            let text = s.to_string();
+            assert!(
+                text.contains(&format!(
+                    "workers: budget {workers} = 1 outer x {workers} inner for 1 leaders, \
+                     {outer} outer x {inner} inner for 3 followers"
+                )),
+                "{text}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn resume_skips_round_trip_identical_plans_only() {
         let dir = std::env::temp_dir().join(format!("fleet-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -622,7 +813,17 @@ mod tests {
                 plan: None,
             },
         ];
-        let s = summarize(&reports, 2.0, CacheStats::default(), 2, 1, 2);
+        let s = summarize(
+            &reports,
+            2.0,
+            CacheStats::default(),
+            vec![PhaseSplit {
+                instances: 2,
+                outer: 2,
+                inner: 1,
+            }],
+            2,
+        );
         assert_eq!(s.planned, 1);
         assert_eq!(s.failed, 1);
         assert_eq!(s.designs_per_sec, 0.5);
@@ -648,7 +849,17 @@ mod tests {
             report(InstanceOutcome::Resumed, 0.02),
             report(InstanceOutcome::Planned(PlanOutcome::Optimal), 300.0),
         ];
-        let s = summarize(&reports, 2.0, CacheStats::default(), 2, 1, 2);
+        let s = summarize(
+            &reports,
+            2.0,
+            CacheStats::default(),
+            vec![PhaseSplit {
+                instances: 2,
+                outer: 2,
+                inner: 1,
+            }],
+            2,
+        );
         assert_eq!((s.planned, s.resumed, s.failed), (4, 2, 0));
         assert_eq!(s.designs_per_sec, 1.0, "two fresh plans in 2 s");
         assert_eq!(s.p50_ms, 300.0, "nearest rank of [100, 300] at 50%");

@@ -18,7 +18,7 @@ use soc_model::format::{parse_soc, write_soc};
 use soc_model::generator::synthesize_missing_test_sets;
 use soc_model::{Core, Soc};
 use tdcsoc::{profile_cache_entries, quarantined_profiles, Plan};
-use tdcsoc::{PlanControl, PlanRequest, Planner};
+use tdcsoc::{PlanControl, PlanRequest};
 
 /// Per-core spec: (chain lengths, inputs, outputs, pattern count).
 type CoreSpec = (Vec<u32>, u32, u32, u32);
@@ -61,11 +61,7 @@ fn sequential_plan(inst: &fleet::Instance, profile_cache: Option<&Path>) -> Plan
         other => panic!("oracle only handles simple files, got {other:?}"),
     };
     synthesize_missing_test_sets(&mut soc, inst.seed);
-    let planner = match inst.mode.as_str() {
-        "per-core" => Planner::per_core_tdc(),
-        "no-tdc" => Planner::no_tdc(),
-        other => panic!("oracle mode {other}"),
-    };
+    let planner = tdcsoc::planner_for(&inst.mode).expect("oracle mode");
     let mut request = PlanRequest::tam_width(inst.width).with_decisions(inst.decisions.clone());
     request.architecture.workers = Some(1);
     let mut control = PlanControl::default();
@@ -94,8 +90,11 @@ fn scratch(name: &str) -> PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random manifests × random worker budgets: every fleet plan equals
-    /// the sequential oracle's, in manifest order.
+    /// Random manifests × random worker budgets, with and without a
+    /// profile cache: every fleet plan equals the sequential oracle's, in
+    /// manifest order. With the cache the batch gains a `select` line
+    /// that shares the per-core lines' profiles, and its leaders build
+    /// each profile once, at its key's widest width, at any split.
     #[test]
     fn fleet_plans_match_sequential_at_any_split(
         specs in proptest::collection::vec(
@@ -110,6 +109,8 @@ proptest! {
         widths in proptest::collection::vec(4u32..12, 1..3),
         seeds in proptest::collection::vec(1u64..50, 1..3),
         budget in 1usize..9,
+        profile_cache in any::<bool>(),
+        select_width in 4u32..12,
         case in 0u32..1_000_000,
     ) {
         let dir = scratch(&format!("split-{case}"));
@@ -124,19 +125,41 @@ proptest! {
             .map(u64::to_string)
             .collect::<Vec<_>>()
             .join(",");
-        let manifest = Manifest::parse(&format!(
+        let mut text = format!(
             "soc {} widths={widths_opt} seeds={seeds_opt} sample=3 mcand=3\n",
             path.display()
-        ))
-        .expect("manifest parses");
-        prop_assert_eq!(manifest.len(), widths.len() * seeds.len());
+        );
+        if profile_cache {
+            text.push_str(&format!(
+                "soc {} widths={select_width} seeds={seeds_opt} mode=select sample=3 mcand=3\n",
+                path.display()
+            ));
+        }
+        let manifest = Manifest::parse(&text).expect("manifest parses");
+        let lines = if profile_cache { widths.len() + 1 } else { widths.len() };
+        prop_assert_eq!(manifest.len(), lines * seeds.len());
 
         let opts = FleetOptions {
             workers: budget,
+            profile_cache: profile_cache.then(|| dir.join("profile-cache")),
             ..FleetOptions::default()
         };
         let report = run_fleet(&manifest, &opts);
         prop_assert_eq!(report.summary.planned, manifest.len());
+        if profile_cache {
+            // One profile key per distinct seed; its widest width spans
+            // both lines.
+            let keys = seeds.iter().collect::<std::collections::BTreeSet<_>>().len();
+            let widest = widths.iter().copied().chain([select_width]).max().unwrap_or(0);
+            let misses = specs.len() * keys;
+            let stats = &report.summary.stats;
+            prop_assert_eq!(stats.profile_partial_hits, 0);
+            prop_assert_eq!(stats.profile_misses, misses);
+            prop_assert_eq!(
+                stats.widths_computed,
+                misses as u64 * u64::from(widest)
+            );
+        }
         prop_assert!(
             report.summary.outer_workers * report.summary.inner_workers <= budget,
             "split {}x{} exceeds budget {budget}",

@@ -161,6 +161,18 @@ impl Planner {
         self.mode
     }
 
+    /// Whether this planner reads (and fills) the on-disk profile cache
+    /// of [`PlanControl::cache_profiles_in`]; other modes ignore it. Only
+    /// the profile-driven modes do: their per-core profile at width `W`
+    /// answers every narrower width too, so one entry serves a whole
+    /// width sweep.
+    pub fn reads_profile_cache(&self) -> bool {
+        matches!(
+            self.mode,
+            CompressionMode::PerCore | CompressionMode::Select
+        )
+    }
+
     /// Plans the SOC test: builds per-core decision tables, partitions the
     /// budget into TAMs, assigns and schedules the cores, and reports test
     /// time, data volume, and per-core settings.
@@ -257,20 +269,18 @@ impl Planner {
         // oversubscribed with a thread per core. Results are assembled in
         // core and width order, so the plan stays deterministic at any
         // worker count.
-        // The profile cache applies only to the profile-driven modes with
-        // an external width budget. Entries are keyed by each core's
+        // The profile cache applies only to the profile-driven modes
+        // (`reads_profile_cache`). Entries are keyed by each core's
         // content fingerprint (computed once per job, via the shared
         // evaluation cache) rather than the width budget: a cached profile
         // covering at least `width` widths is a full hit that skips the
         // per-width operating-point search entirely, a shorter one answers
         // its prefix and only the remaining widths are computed, and a
         // miss rebuilds from scratch — the incremental-rebuild contract.
-        let cacheable_mode = !internal_budget
-            && matches!(
-                self.mode,
-                CompressionMode::PerCore | CompressionMode::Select
-            );
-        let profile_cache = control.profile_cache.as_ref().filter(|_| cacheable_mode);
+        let profile_cache = control
+            .profile_cache
+            .as_ref()
+            .filter(|_| self.reads_profile_cache());
         let mut stats = PlanStats::default();
         let mut cache_use: Vec<CacheUse> = Vec::with_capacity(soc.cores().len());
         let jobs: Vec<TableJob> = soc

@@ -1095,6 +1095,70 @@ mod tests {
     }
 
     #[test]
+    fn fleet_modes_keep_their_own_plan_files_through_resume() {
+        let dir = std::env::temp_dir().join(format!("soctdc-fleet-modes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let manifest = dir.join("batch.txt");
+        std::fs::write(
+            &manifest,
+            "design d695 widths=12 sample=4 mcand=4\n\
+             design d695 widths=12 sample=4 mcand=4 mode=no-tdc\n",
+        )
+        .unwrap();
+        let plans = dir.join("plans");
+        let ndjson = dir.join("progress.ndjson");
+        let fleet = |extra: &str| {
+            let cmd = parse_args(&argv(&format!(
+                "fleet {extra} --manifest {} --workers 2 --plan-dir {}",
+                manifest.display(),
+                plans.display()
+            )))
+            .unwrap();
+            let mut out = Vec::new();
+            run(&cmd, &mut out).unwrap();
+            String::from_utf8(out).unwrap()
+        };
+        let read = |id: &str| std::fs::read_to_string(plans.join(format!("{id}.plan"))).unwrap();
+
+        let text = fleet("");
+        assert!(text.contains("2 plan files written"), "{text}");
+        assert_eq!(std::fs::read_dir(&plans).unwrap().count(), 2);
+        let per_core = read("d695-w12-seed2008");
+        let no_tdc = read("d695-w12-seed2008-no-tdc");
+        assert_eq!(
+            parse_plan(&per_core).unwrap().mode,
+            Planner::per_core_tdc().mode()
+        );
+        assert_eq!(parse_plan(&no_tdc).unwrap().mode, Planner::no_tdc().mode());
+
+        // Each instance resumes its own plan, and the files stay as written.
+        let text = fleet(&format!("--resume --ndjson {}", ndjson.display()));
+        assert!(text.contains("2 planned, 0 failed, 2 resumed"), "{text}");
+        assert_eq!(
+            (read("d695-w12-seed2008"), read("d695-w12-seed2008-no-tdc")),
+            (per_core.clone(), no_tdc.clone())
+        );
+        let stream = std::fs::read_to_string(&ndjson).unwrap();
+        for (id, plan) in [
+            ("d695-w12-seed2008", &per_core),
+            ("d695-w12-seed2008-no-tdc", &no_tdc),
+        ] {
+            let volume = parse_plan(plan).unwrap().volume_bits;
+            let line = format!("{{\"id\":\"{id}\",\"outcome\":\"resumed\"");
+            let line = stream
+                .lines()
+                .find(|l| l.starts_with(&line))
+                .unwrap_or_else(|| panic!("{stream}"));
+            assert!(
+                line.contains(&format!("\"volume_bits\":{volume}}}")),
+                "{line}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn fleet_with_failures_exits_with_error_after_reporting() {
         let dir = std::env::temp_dir().join(format!("soctdc-fleet-fail-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
