@@ -21,12 +21,14 @@
 //! * `mode=` — planner mode keyword ([`tdcsoc::planner_for`]). Default
 //!   `per-core`. `sample=`/`mcand=` — evaluation fidelity (defaults as
 //!   the CLI); `exact` — full-fidelity evaluation; `density=` — ITC'02
-//!   care-bit density (default 0.02).
+//!   care-bit density (default 0.02; builtin designs and simple-format
+//!   files carry their own, and ignore it).
 //!
 //! Each instance's id — its plan file's name and its `--resume` key — is
 //! `<label>-w<width>-seed<seed>`, with `-<mode>` appended when the mode
-//! is not `per-core`. Two instances may share an id only if they are
-//! identical (a repeated width, a repeated line).
+//! is not `per-core`. Two instances may share an id only if they plan the
+//! same job (a repeated width, a repeated line, a density the source does
+//! not read).
 //!
 //! The parser is panic-free and bounds every expansion: a manifest that
 //! would exceed [`Manifest::MAX_INSTANCES`] instances (or a single line
@@ -48,6 +50,16 @@ fn source_label(source: &SocSource) -> String {
     }
 }
 
+/// Whether two instances plan the same job: every field agrees, the
+/// density only where the source reads it ([`SocSource::density`]).
+fn same_job(a: &Instance, b: &Instance) -> bool {
+    fn job(i: &Instance) -> (&SocSource, u32, u64, &str, &DecisionConfig, Option<u64>) {
+        let density = i.source.density(i.density).map(f64::to_bits);
+        (&i.source, i.width, i.seed, &i.mode, &i.decisions, density)
+    }
+    job(a) == job(b)
+}
+
 /// One fully-expanded design instance: a single `(source, width, seed)`
 /// planning job with its fidelity knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,7 +78,8 @@ pub struct Instance {
     pub mode: String,
     /// Evaluation fidelity.
     pub decisions: DecisionConfig,
-    /// ITC'02 care-bit density.
+    /// ITC'02 care-bit density (builtin designs and simple-format files
+    /// carry their own).
     pub density: f64,
 }
 
@@ -142,7 +155,7 @@ impl Manifest {
                     }
                     Entry::Occupied(slot) => {
                         let (first_line, first) = *slot.get();
-                        if instances.get(first) != Some(&inst) {
+                        if !instances.get(first).is_some_and(|f| same_job(f, &inst)) {
                             return Err(err(
                                 lineno,
                                 format!(
@@ -518,7 +531,6 @@ mod tests {
             "design d695 widths=12 sample=8 mcand=4",
             "design d695 widths=12 sample=4 mcand=8",
             "design d695 widths=12 exact",
-            "design d695 widths=12 sample=4 mcand=4 density=0.5",
             "soc other/d695.soc widths=12 sample=4 mcand=4",
         ] {
             let text = format!("design d695 widths=12 sample=4 mcand=4\n# note\n{second}\n");
@@ -527,6 +539,25 @@ mod tests {
             assert!(e.message.contains("d695-w12-seed2008"), "{}", e.message);
             assert!(e.message.contains("line 1"), "{}", e.message);
         }
+    }
+
+    #[test]
+    fn an_id_differs_by_density_only_where_the_source_reads_it() {
+        // Builtin designs ignore the density: the same job.
+        let m = Manifest::parse(
+            "design d695 widths=12 sample=4 mcand=4\n\
+             design d695 widths=12 sample=4 mcand=4 density=0.5\n",
+        )
+        .unwrap();
+        assert_eq!(m.len(), 2);
+        // ITC'02 files read it: two jobs under one id.
+        let e = Manifest::parse(
+            "itc02 a/d695.soc widths=12\n\
+             itc02 a/d695.soc widths=12 density=0.5\n",
+        )
+        .unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("line 1"), "{}", e.message);
     }
 
     #[test]

@@ -321,10 +321,11 @@ pub fn run_fleet_with(manifest: &Manifest, opts: &FleetOptions, hooks: &FleetHoo
     FleetReport { instances, summary }
 }
 
-/// What an instance's profiles are cached under: its source, seed,
-/// density bits and fidelity (pattern sample, `m` candidates). The mode
-/// is not part of it: every mode that reads the cache shares the entries.
-type ProfileKey<'a> = (&'a SocSource, u64, u64, Option<usize>, usize);
+/// What an instance's profiles are cached under: its source, seed, the
+/// bits of the density its source reads ([`SocSource::density`]) and
+/// fidelity (pattern sample, `m` candidates). The mode is not part of it:
+/// every mode that reads the cache shares the entries.
+type ProfileKey<'a> = (&'a SocSource, u64, Option<u64>, Option<usize>, usize);
 
 /// Splits the manifest's indices into leaders and followers, each in
 /// manifest order. Without a profile cache every instance leads.
@@ -358,7 +359,7 @@ fn profile_key(inst: &Instance) -> Option<ProfileKey<'_>> {
     reads.then_some((
         &inst.source,
         inst.seed,
-        inst.density.to_bits(),
+        inst.source.density(inst.density).map(f64::to_bits),
         inst.decisions.pattern_sample,
         inst.decisions.m_candidates,
     ))
@@ -491,7 +492,8 @@ fn plan_instance(
         control = control.without_stream_verification();
     }
     if let Some(dir) = &opts.profile_cache {
-        control = control.cache_profiles_in(dir, profile_tag(&soc, inst.seed, inst.density));
+        let density = inst.source.density(inst.density);
+        control = control.cache_profiles_in(dir, profile_tag(&soc, inst.seed, density));
     }
     match planner.plan_with_stats(&soc, &request, &control) {
         Ok((plan, stats)) => InstanceReport {
@@ -634,6 +636,34 @@ mod tests {
             leaders_and_followers(&manifest, false),
             ((0..7).collect(), Vec::new())
         );
+    }
+
+    #[test]
+    fn a_density_the_builtin_ignores_shares_its_soc_and_profiles() {
+        let dir = std::env::temp_dir().join(format!("fleet-density-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let manifest = Manifest::parse(
+            "design d695 widths=12 sample=4 mcand=4\n\
+             design d695 widths=16 sample=4 mcand=4 density=0.5\n",
+        )
+        .unwrap();
+        for workers in [1, 2] {
+            let cache = dir.join(format!("cache-{workers}"));
+            let report = run_fleet(
+                &manifest,
+                &FleetOptions {
+                    workers,
+                    profile_cache: Some(cache.clone()),
+                    ..FleetOptions::default()
+                },
+            );
+            let s = &report.summary;
+            assert_eq!(s.planned, 2, "workers {workers}");
+            assert_eq!((s.soc_cache.hits, s.soc_cache.misses), (1, 1));
+            assert_eq!((s.stats.profile_misses, s.stats.profile_hits), (10, 10));
+            assert_eq!(tdcsoc::profile_cache_entries(&cache).len(), 10);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //! scalar [`verify_stream`](crate::verify_stream).
 //!
 //! [`encode_slices_packed`] is the matching batched encoder: it derives
-//! every slice's fill polarity and target positions from popcounts over
-//! the care/value planes (the same kernel as the packed cost path in
-//! `stream.rs`) and emits codewords bit-identical to
+//! every slice's fill polarity and target positions from a few word
+//! operations over the care/value planes (the per-slice arithmetic of
+//! `packed.rs`, shared with the packed cost path in `stream.rs`) and emits
+//! codewords bit-identical to
 //! [`Encoder::encode_slice`](crate::Encoder::encode_slice). Together they
 //! make plan-time stream verification — encode, decode, compare, for every
 //! pattern of every compressed core — cheap enough to run by default.
@@ -41,12 +42,15 @@
 
 use std::cell::RefCell;
 
-use soc_model::{read_bits, Core, TestSet, TritVec};
+use soc_model::{Core, TestSet, TritVec};
 use wrapper::{design_wrapper, SliceMatrix, WrapperDesign};
 
 use crate::code::{Codeword, SliceCode};
 use crate::decoder::DecodeError;
 use crate::integrity::StreamError;
+use crate::packed::{
+    few_targets, fill_polarity, more_than_two, set_bits, target_word, Geometry, Groups,
+};
 
 /// Packed-lane decompressor: the cycle-accurate state machine of
 /// [`Decompressor`](crate::Decompressor) over a `u64`-packed slice buffer
@@ -74,9 +78,13 @@ use crate::integrity::StreamError;
 #[derive(Debug, Clone)]
 pub struct Emulator {
     code: SliceCode,
+    /// The code's chain count, group width and group count, read once.
+    geo: Geometry,
     /// Packed slice buffer, `chains.div_ceil(64)` words; bits at or beyond
     /// the chain count stay zero so verifiers can consume rows unmasked.
     buffer: Vec<u64>,
+    /// The live chains of the buffer's last word.
+    tail: u64,
     fill_latch: bool,
     state: State,
     slices_emitted: u64,
@@ -93,9 +101,16 @@ enum State {
 impl Emulator {
     /// Creates an emulator for the given slice code.
     pub fn new(code: SliceCode) -> Self {
+        let tail_bits = code.chains() % 64;
         Emulator {
             code,
+            geo: Geometry::new(code),
             buffer: vec![0; (code.chains() as usize).div_ceil(64)],
+            tail: if tail_bits == 0 {
+                !0
+            } else {
+                (1u64 << tail_bits) - 1
+            },
             fill_latch: false,
             state: State::AwaitHeader,
             slices_emitted: 0,
@@ -141,29 +156,20 @@ impl Emulator {
     /// (crate::Decompressor::feed) rejects, with the same [`DecodeError`].
     pub fn feed(&mut self, cw: Codeword) -> Result<bool, DecodeError> {
         self.words_consumed += 1;
-        let m = self.code.chains();
         match self.state {
             State::AwaitHeader => {
-                let fill = cw.mode;
-                self.fill_latch = fill;
-                self.fill_buffer(fill);
-                if cw.data < m {
-                    self.write_bit(cw.data, !fill);
-                } else if cw.data > m {
-                    return Err(DecodeError::BitIndexOutOfRange {
-                        index: cw.data,
-                        chains: m,
-                    });
-                }
+                self.fill_latch = cw.mode;
+                self.fill_buffer(cw.mode);
+                self.flip(cw.data)?;
                 self.state = State::InSlice;
                 Ok(self.maybe_emit(cw.last))
             }
             State::InSlice => {
                 if cw.mode {
-                    if cw.data >= self.code.group_count() {
+                    if cw.data >= self.geo.groups {
                         return Err(DecodeError::GroupOutOfRange {
                             group: cw.data,
-                            groups: self.code.group_count(),
+                            groups: self.geo.groups,
                         });
                     }
                     if cw.last {
@@ -172,21 +178,14 @@ impl Emulator {
                     self.state = State::AwaitLiteral { group: cw.data };
                     Ok(false)
                 } else {
-                    if cw.data < m {
-                        let fill = self.fill_latch;
-                        self.write_bit(cw.data, !fill);
-                    } else if cw.data > m {
-                        return Err(DecodeError::BitIndexOutOfRange {
-                            index: cw.data,
-                            chains: m,
-                        });
-                    }
+                    self.flip(cw.data)?;
                     Ok(self.maybe_emit(cw.last))
                 }
             }
             State::AwaitLiteral { group } => {
-                let start = group * self.code.data_bits();
-                let len = self.code.group_len(group);
+                // The group header was checked against the group count.
+                let start = group * self.geo.c;
+                let len = self.geo.len_at(start);
                 if len < 32 && cw.data >> len != 0 {
                     return Err(DecodeError::LiteralSpareBitsSet {
                         group,
@@ -210,22 +209,32 @@ impl Emulator {
     /// keeping bits at or beyond the chain count zero.
     fn fill_buffer(&mut self, fill: bool) {
         let word = if fill { !0u64 } else { 0 };
-        self.buffer.fill(word);
-        if fill {
-            let tail = self.code.chains() as usize % 64;
-            if tail != 0 {
-                *self.buffer.last_mut().expect("chains >= 1") = !0u64 >> (64 - tail);
+        if let Some((last, body)) = self.buffer.split_last_mut() {
+            for w in body {
+                *w = word;
             }
+            *last = word & self.tail;
         }
     }
 
-    fn write_bit(&mut self, index: u32, bit: bool) {
-        let (w, b) = (index as usize / 64, index as usize % 64);
-        if bit {
-            self.buffer[w] |= 1u64 << b;
-        } else {
-            self.buffer[w] &= !(1u64 << b);
+    /// The update of a header or single-bit word: chain `index` takes the
+    /// symbol opposite the fill; `index == m` is the spare "no update".
+    fn flip(&mut self, index: u32) -> Result<(), DecodeError> {
+        let m = self.geo.chains;
+        if index > m {
+            return Err(DecodeError::BitIndexOutOfRange { index, chains: m });
         }
+        // The spare value masks to nothing, so every valid word takes the
+        // same store and no branch follows the stream's data.
+        let mask = u64::from(index < m) << (index % 64);
+        let last = self.buffer.len() - 1;
+        let word = &mut self.buffer[(index as usize / 64).min(last)];
+        *word = if self.fill_latch {
+            *word & !mask
+        } else {
+            *word | mask
+        };
+        Ok(())
     }
 
     fn maybe_emit(&mut self, last: bool) -> bool {
@@ -255,14 +264,11 @@ fn splice_bits(dst: &mut [u64], off: usize, len: usize, bits: u64) {
     }
 }
 
-/// Reusable buffers for the batched encode/verify paths; one per thread,
-/// so the public functions stay allocation-free across calls.
+/// Reusable buffers for [`verify_cube_stream`]; one per thread, so the
+/// public functions stay allocation-free across calls.
 #[derive(Debug, Default)]
 struct EmulateScratch {
     slices: SliceMatrix,
-    target: Vec<u64>,
-    singles: Vec<u32>,
-    copies: Vec<(u32, u32)>,
     words: Vec<Codeword>,
 }
 
@@ -273,8 +279,8 @@ thread_local! {
 /// Encodes every slice of `slices` (shallowest first), appending the
 /// codewords to `out` — bit-identical to running
 /// [`Encoder::encode_slice`](crate::Encoder::encode_slice) over each
-/// materialized slice, but driven by popcounts over the packed care/value
-/// planes instead of per-symbol lookups.
+/// materialized slice, but driven by word operations over the packed
+/// care/value planes instead of per-symbol lookups.
 ///
 /// `group_copy` mirrors [`Encoder::new`](crate::Encoder::new) (`true`) vs
 /// [`Encoder::single_bit_only`](crate::Encoder::single_bit_only).
@@ -293,92 +299,71 @@ pub fn encode_slices_packed(
         code.chains() as usize,
         "slice matrix and slice code disagree on the chain count"
     );
-    EMULATE_SCRATCH.with(|s| {
-        let scratch = &mut *s.borrow_mut();
-        for depth in 0..slices.depths() {
-            encode_one_slice(code, group_copy, slices, depth, scratch, out);
-        }
-    });
+    let geo = Geometry::new(code);
+    for (care, value) in slices.rows() {
+        encode_one_slice(geo, group_copy, care, value, out);
+    }
 }
 
-/// The per-slice packed planner + emitter behind [`encode_slices_packed`].
+/// The per-slice packed emitter behind [`encode_slices_packed`], in the
+/// order of `Encoder::encode_slice`: a header carrying the fill polarity
+/// and the first single flip, the remaining singles, then a group
+/// header/literal pair per copied group; the last word carries the last
+/// flag. Singles go straight to `out`; copied groups are rare, so a second
+/// walk over the groups emits them.
 fn encode_one_slice(
-    code: SliceCode,
+    geo: Geometry,
     group_copy: bool,
-    slices: &SliceMatrix,
-    depth: usize,
-    scratch: &mut EmulateScratch,
+    care: &[u64],
+    value: &[u64],
     out: &mut Vec<Codeword>,
 ) {
-    let care = slices.care_row(depth);
-    let value = slices.value_row(depth);
-    // The value plane is zero at don't-care and pad positions, so its
-    // popcount is the count of specified ones directly.
-    let cares: u32 = care.iter().map(|w| w.count_ones()).sum();
-    let ones: u32 = value.iter().map(|w| w.count_ones()).sum();
-    let zeros = cares - ones;
-    let fill = ones > zeros;
-    // Target bits: the minority symbols the encoder must place explicitly.
-    scratch.target.clear();
-    scratch.target.extend(
-        care.iter()
-            .zip(value)
-            .map(|(&cw, &vw)| if fill { cw & !vw } else { vw }),
-    );
-
-    let c = code.data_bits();
-    scratch.singles.clear();
-    scratch.copies.clear();
-    for g in 0..code.group_count() {
-        let start = g * c;
-        let len = code.group_len(g);
-        let mask = read_bits(&scratch.target, start as usize, len as usize) as u32;
-        if mask.count_ones() > 2 && group_copy {
-            // Literal bits carry actual logic values: target where the
-            // mask is set, fill elsewhere (don't-cares take the fill).
-            let group_mask = if len == 32 { u32::MAX } else { (1 << len) - 1 };
-            let literal = if fill { group_mask & !mask } else { mask };
-            scratch.copies.push((g, literal));
-        } else {
-            // Iterate set bits only: minority masks are sparse by
-            // construction, so this beats a walk over every group position.
-            let mut rest = mask;
-            // soclint: allow(cancel-coverage) -- bounded: iterates the set bits of one u32 mask
-            while rest != 0 {
-                scratch.singles.push(start + rest.trailing_zeros());
-                rest &= rest - 1;
+    let fill = fill_polarity(care, value);
+    let word = |mode, data| Codeword {
+        mode,
+        last: false,
+        data,
+    };
+    let mut header = true;
+    let mut single = |pos: u32| {
+        out.push(word(header && fill, pos));
+        header = false;
+    };
+    // Minority masks are sparse by construction, so walking the set bits
+    // beats a walk over every position.
+    let mut copies = false;
+    if !group_copy || few_targets(care, value, fill).is_some() {
+        // No group is copied, so the singles are every target, in order.
+        for ((&cw, &vw), base) in care.iter().zip(value).zip((0..).step_by(64)) {
+            for bit in set_bits(target_word(cw, vw, fill)) {
+                single(base + bit);
+            }
+        }
+    } else {
+        for (start, x) in Groups::new(geo, care, value, fill) {
+            if more_than_two(x) {
+                copies = true;
+            } else {
+                for bit in set_bits(x) {
+                    single(start + bit);
+                }
             }
         }
     }
-
-    // Emission identical to Encoder::encode_slice: header merges the first
-    // single flip, then remaining singles, then group header/literal pairs,
-    // and the final word carries the last flag.
-    let mut singles = scratch.singles.iter().copied();
-    let first = singles.next();
-    out.push(Codeword {
-        mode: fill,
-        last: false,
-        data: first.unwrap_or(code.chains()),
-    });
-    for pos in singles {
-        out.push(Codeword {
-            mode: false,
-            last: false,
-            data: pos,
-        });
+    if header {
+        out.push(word(fill, geo.chains));
     }
-    for &(group, literal) in &scratch.copies {
-        out.push(Codeword {
-            mode: true,
-            last: false,
-            data: group,
-        });
-        out.push(Codeword {
-            mode: false,
-            last: false,
-            data: literal,
-        });
+    if copies {
+        for (group, (start, x)) in (0..).zip(Groups::new(geo, care, value, fill)) {
+            if more_than_two(x) {
+                // Literal bits carry actual logic values: target where the
+                // mask is set, fill elsewhere (don't-cares take the fill).
+                let len_mask = (1u64 << geo.len_at(start)) - 1;
+                let literal = if fill { len_mask & !x } else { x };
+                out.push(word(true, group));
+                out.push(word(false, literal as u32));
+            }
+        }
     }
     out.last_mut().expect("header always present").last = true;
 }
@@ -399,13 +384,19 @@ pub fn verify_stream_packed(
 ) -> Result<(), StreamError> {
     let mut emu = Emulator::new(code);
     let lanes_match = expected.chains() == code.chains() as usize;
+    // The rows to check decoded slices against; none when the lanes differ.
+    let mut rows = expected
+        .rows()
+        .take(if lanes_match { usize::MAX } else { 0 });
     let mut decoded = 0usize;
     let mut first_violation: Option<(usize, usize)> = None;
     for cw in words {
         if emu.feed(cw).map_err(StreamError::Malformed)? {
-            if lanes_match && first_violation.is_none() && decoded < expected.depths() {
-                if let Some(chain) = expected.violating_chain(decoded, emu.slice_words()) {
-                    first_violation = Some((decoded, chain));
+            if first_violation.is_none() {
+                if let Some((care, value)) = rows.next() {
+                    if let Some(chain) = violating_chain(care, value, emu.slice_words()) {
+                        first_violation = Some((decoded, chain));
+                    }
                 }
             }
             decoded += 1;
@@ -433,6 +424,24 @@ pub fn verify_stream_packed(
         Some((slice, chain)) => Err(StreamError::CareBitViolation { slice, chain }),
         None => Ok(()),
     }
+}
+
+/// First chain whose care bit the packed slice `decoded` contradicts, given
+/// the slice's care and value rows, or `None` when every care bit holds.
+///
+/// A chain violates exactly where `care & (decoded ^ value)` is set, so a
+/// clean row costs three word ops per 64 chains and the first offender
+/// falls out of a trailing-zeros count. Bits past the chain count have
+/// care = 0, so padding in `decoded` never produces a false positive.
+fn violating_chain(care: &[u64], value: &[u64], decoded: &[u64]) -> Option<usize> {
+    care.iter()
+        .zip(value)
+        .zip(decoded)
+        .enumerate()
+        .find_map(|(i, ((&cw, &vw), &dw))| {
+            let bad = cw & (dw ^ vw);
+            (bad != 0).then(|| i * 64 + bad.trailing_zeros() as usize)
+        })
 }
 
 /// Encodes `cube` under `design` with the packed encoder, then decodes and

@@ -56,6 +56,7 @@ mod encoder;
 mod integrity;
 mod lut;
 mod memo;
+mod packed;
 mod rtl;
 mod stream;
 

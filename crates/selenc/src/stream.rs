@@ -13,11 +13,14 @@
 
 use std::cell::RefCell;
 
-use soc_model::{read_bits, Core, TestSet, Trit, TritVec};
+use soc_model::{Core, TestSet, Trit, TritVec};
 use wrapper::{design_wrapper, SliceMatrix, WrapperDesign};
 
 use crate::code::{Codeword, SliceCode};
 use crate::encoder::Encoder;
+use crate::packed::{
+    count_at_most_two, few_targets, fill_polarity, more_than_two, target_word, Geometry, Groups,
+};
 
 /// Compresses one cube into its codeword stream, slice by slice
 /// (shallowest slice first).
@@ -67,66 +70,51 @@ pub fn cube_cost_policy(
     COST_SCRATCH.with(|s| cube_cost_packed(code, design, cube, group_copy, &mut s.borrow_mut()))
 }
 
-/// Reusable buffers for [`cube_cost_packed`]: the slice-major planes of the
-/// cube and the per-slice target-bit plane.
-#[derive(Debug, Default)]
-struct CostScratch {
-    slices: SliceMatrix,
-    target: Vec<u64>,
-}
-
 thread_local! {
-    // One scratch per thread makes the public cost functions allocation-free
-    // across calls without threading a handle through every caller.
-    static COST_SCRATCH: RefCell<CostScratch> = RefCell::new(CostScratch::default());
+    // One slice matrix per thread makes the public cost functions
+    // allocation-free across calls without threading a handle through
+    // every caller.
+    static COST_SCRATCH: RefCell<SliceMatrix> = RefCell::new(SliceMatrix::new());
 }
 
 /// Packed slice-cost kernel: builds the cube's slice-major care/value
-/// planes once, then derives each slice's fill polarity and per-group
-/// target counts from popcounts instead of per-symbol lookups.
+/// planes once, then counts each slice's codewords from its fill polarity
+/// and one walk over its target groups (see [`crate::packed`]).
 fn cube_cost_packed(
     code: SliceCode,
     design: &WrapperDesign,
     cube: &TritVec,
     group_copy: bool,
-    scratch: &mut CostScratch,
+    slices: &mut SliceMatrix,
 ) -> u64 {
     assert_eq!(
         design.chain_count(),
         code.chains(),
         "wrapper design and slice code disagree on the chain count"
     );
-    design.fill_slice_matrix(cube, &mut scratch.slices);
-    let c = code.data_bits() as usize;
-    let groups = code.group_count();
+    design.fill_slice_matrix(cube, slices);
+    let geo = Geometry::new(code);
     let mut total = 0u64;
-    for depth in 0..scratch.slices.depths() {
-        let care = scratch.slices.care_row(depth);
-        let value = scratch.slices.value_row(depth);
-        // The value plane is zero at don't-care and pad positions, so its
-        // popcount is the count of specified ones directly.
-        let cares: u32 = care.iter().map(|w| w.count_ones()).sum();
-        let ones: u32 = value.iter().map(|w| w.count_ones()).sum();
-        let zeros = cares - ones;
-        let fill_one = ones > zeros;
-        // Target bits: the minority symbols the encoder must place
-        // explicitly (specified zeros when filling ones, and vice versa).
-        scratch.target.clear();
-        scratch.target.extend(
-            care.iter()
-                .zip(value)
-                .map(|(&cw, &vw)| if fill_one { cw & !vw } else { vw }),
-        );
+    for (care, value) in slices.rows() {
+        let fill = fill_polarity(care, value);
         let mut singles = 0u64;
         let mut copies = 0u64;
-        for g in 0..groups {
-            let glen = code.group_len(g) as usize;
-            let t = read_bits(&scratch.target, g as usize * c, glen).count_ones();
-            if t > 2 && group_copy {
-                copies += 1;
-            } else {
-                singles += u64::from(t);
+        if let Some(n) = few_targets(care, value, fill) {
+            singles = n;
+        } else if group_copy {
+            for (_, x) in Groups::new(geo, care, value, fill) {
+                if more_than_two(x) {
+                    copies += 1;
+                } else {
+                    singles += count_at_most_two(x);
+                }
             }
+        } else {
+            singles = care
+                .iter()
+                .zip(value)
+                .map(|(&cw, &vw)| u64::from(target_word(cw, vw, fill).count_ones()))
+                .sum();
         }
         total += Encoder::cost_of(singles, copies);
     }

@@ -199,8 +199,8 @@ fn run_job(ctx: &Arc<Ctx>, job: &PlanJob) -> Value {
     let Some(meta) = ctx.store.load_meta(&job.session) else {
         return fail(format!("unknown session `{}`", job.session));
     };
-    let soc = match ctx.store.load_soc(&meta) {
-        Ok(soc) => soc,
+    let (soc, density) = match ctx.store.load_soc(&meta) {
+        Ok(loaded) => loaded,
         Err(e) => return fail(e.to_string()),
     };
     let Some(planner) = planner_for(&job.mode) else {
@@ -217,7 +217,7 @@ fn run_job(ctx: &Arc<Ctx>, job: &PlanJob) -> Value {
         token: job.token.clone(),
         profile_cache: Some(ProfileCacheConfig::new(
             ctx.store.cache_dir(),
-            profile_tag(&soc, meta.seed, meta.density),
+            profile_tag(&soc, meta.seed, density),
         )),
         ..PlanControl::default()
     };

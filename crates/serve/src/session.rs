@@ -288,7 +288,9 @@ impl SessionStore {
         (meta.name == name).then_some(meta)
     }
 
-    /// The session's SOC with cubes attached, from the store's SOC cache.
+    /// The session's SOC with cubes attached, from the store's SOC cache,
+    /// and the care density it reads ([`SocContent::density`]: the
+    /// session's density for an ITC'02 upload, none for a benchmark).
     /// `design.itc02` is re-read on every call and the cache keys by its
     /// content, so an edited design is rebuilt, or fails here.
     ///
@@ -297,7 +299,7 @@ impl SessionStore {
     /// [`ServeError::NotFound`] for missing designs,
     /// [`ServeError::BadRequest`] for corrupt design files or descriptors
     /// (caller quarantines).
-    pub fn load_soc(&self, meta: &SessionMeta) -> Result<Arc<Soc>, ServeError> {
+    pub fn load_soc(&self, meta: &SessionMeta) -> Result<(Arc<Soc>, Option<f64>), ServeError> {
         let content = match (&meta.kind[..], &meta.benchmark) {
             ("benchmark", Some(bench)) => SocSource::Builtin(bench.clone())
                 .read()
@@ -316,9 +318,12 @@ impl SessionStore {
                 )))
             }
         };
-        self.socs
+        let density = content.density(meta.density);
+        let soc = self
+            .socs
             .get(content, meta.seed, meta.density)
-            .map_err(ServeError::BadRequest)
+            .map_err(ServeError::BadRequest)?;
+        Ok((soc, density))
     }
 
     /// Hit, miss and eviction counters of the store's SOC cache.
@@ -558,8 +563,9 @@ mod tests {
             .unwrap();
         assert_eq!(store.load_meta("s1"), Some(meta.clone()));
         assert_eq!(store.session_names(), vec!["s1".to_string()]);
-        let soc = store.load_soc(&meta).unwrap();
+        let (soc, density) = store.load_soc(&meta).unwrap();
         assert_eq!(soc.name(), "d695");
+        assert_eq!(density, None, "a benchmark reads no density");
         let _ = std::fs::remove_dir_all(&root);
     }
 

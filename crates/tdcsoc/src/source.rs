@@ -3,10 +3,12 @@
 //! the planner mode keywords and the profile-cache tag.
 //!
 //! A built SOC is a pure function of its content (the builtin design or
-//! the design file's full text), the cube-synthesis seed and the ITC'02
-//! care density. The cache keys by exactly these, never by a path or a
-//! session name, so a hit equals a rebuild and a changed file is a new key
-//! rather than a stale hit.
+//! the design file's full text), the cube-synthesis seed and, for ITC'02
+//! text only, the care density. The cache keys by exactly these, never by
+//! a path or a session name, so a hit equals a rebuild and a changed file
+//! is a new key rather than a stale hit. Which contents read the density is
+//! one rule, [`SocContent::density`]; every key that names an SOC follows
+//! it.
 
 use std::sync::Arc;
 
@@ -52,6 +54,12 @@ impl SocSource {
     pub fn build(&self, seed: u64, density: f64) -> Result<Soc, String> {
         self.read()?.build(seed, density)
     }
+
+    /// [`SocContent::density`] of the content this source reads, without
+    /// reading it.
+    pub fn density(&self, density: f64) -> Option<f64> {
+        read_density(matches!(self, SocSource::Itc02File(_)), density)
+    }
 }
 
 fn design(name: &str) -> Result<Design, String> {
@@ -73,6 +81,15 @@ pub enum SocContent {
 }
 
 impl SocContent {
+    /// The care density as the built SOC depends on it: `Some(density)` for
+    /// ITC'02 text, `None` for builtin designs and simple-format text. The
+    /// [`SocCache`] key, [`profile_tag`] and fleet's profile key take this
+    /// value, so the CLI, fleet and serve share one SOC and one set of
+    /// profiles whatever density each passes by default.
+    pub fn density(&self, density: f64) -> Option<f64> {
+        read_density(matches!(self, SocContent::Itc02(_)), density)
+    }
+
     /// The SOC without test sets; `density` is the ITC'02 care density.
     pub fn parse(&self, density: f64) -> Result<Soc, String> {
         match self {
@@ -93,8 +110,16 @@ impl SocContent {
     }
 }
 
-/// Content, seed and the density's bits (`f64` has no `Ord`).
-type SocKey = (SocContent, u64, u64);
+/// The density rule: only ITC'02 parsing reads the care density. Builtin
+/// designs and simple-format files carry a density per core, so for them
+/// every density builds the same SOC.
+fn read_density(itc02: bool, density: f64) -> Option<f64> {
+    itc02.then_some(density)
+}
+
+/// Content, seed and the bits of the density it reads (`f64` has no
+/// `Ord`).
+type SocKey = (SocContent, u64, Option<u64>);
 
 /// A bounded LRU of built SOCs, weighted by their stimulus bytes. Shared
 /// by threads and pool jobs; racing callers at worst build one SOC twice.
@@ -121,7 +146,8 @@ impl SocCache {
     /// The SOC built from `content` and `seed`, from the cache or built
     /// and cached; a failed build is not cached.
     pub fn get(&self, content: SocContent, seed: u64, density: f64) -> Result<Arc<Soc>, String> {
-        let key: SocKey = (content, seed, density.to_bits());
+        let bits = content.density(density).map(f64::to_bits);
+        let key: SocKey = (content, seed, bits);
         if let Some(soc) = self.socs.write(|cache| cache.get(&key).map(Arc::clone)) {
             return Ok(soc);
         }
@@ -163,9 +189,14 @@ pub fn planner_for(mode: &str) -> Option<Planner> {
 }
 
 /// The profile-cache tag of an SOC's test sets (the planner adds width
-/// and fidelity to each file name), shared by every surface.
-pub fn profile_tag(soc: &Soc, seed: u64, density: f64) -> String {
-    format!("{}-seed{seed}-d{density:.3}", soc.name())
+/// and fidelity to each file name), shared by every surface. `density` is
+/// the density the SOC reads ([`SocContent::density`]); it is part of the
+/// tag only when there is one.
+pub fn profile_tag(soc: &Soc, seed: u64, density: Option<f64>) -> String {
+    match density {
+        Some(d) => format!("{}-seed{seed}-d{d:.3}", soc.name()),
+        None => format!("{}-seed{seed}", soc.name()),
+    }
 }
 
 #[cfg(test)]
@@ -218,7 +249,36 @@ mod tests {
         assert_eq!(planner_for("fixed4"), Some(Planner::fixed_width_tdc(4)));
         assert!(planner_for("warp").is_none());
         let soc = Design::D695.build();
-        assert_eq!(profile_tag(&soc, 2008, 0.66), "d695-seed2008-d0.660");
+        // A builtin design reads no density, so its tag names none.
+        let builtin = SocSource::builtin("d695").unwrap();
+        assert_eq!(builtin.density(0.66), None);
+        assert_eq!(
+            profile_tag(&soc, 2008, builtin.density(0.66)),
+            "d695-seed2008"
+        );
+        let itc02 = SocSource::Itc02File("d695.soc".into());
+        assert_eq!(
+            profile_tag(&soc, 2008, itc02.density(0.66)),
+            "d695-seed2008-d0.660"
+        );
+        assert_eq!(SocSource::SimpleFile("x.soc".into()).density(0.5), None);
         assert!(SocSource::builtin("nope").is_err());
+    }
+
+    #[test]
+    fn only_itc02_content_keys_its_density() {
+        let cache = SocCache::new(SocCache::DEFAULT_LIMITS);
+        let d695 = || SocContent::Builtin(Design::D695);
+        let first = cache.get(d695(), 1, 0.66).unwrap();
+        let again = cache.get(d695(), 1, 0.02).unwrap();
+        assert!(Arc::ptr_eq(&first, &again), "builtins ignore the density");
+        let text = soc_model::itc02::write_itc02(&Design::D695.build());
+        let itc02 = || SocContent::Itc02(text.clone());
+        let sparse = cache.get(itc02(), 1, 0.1).unwrap();
+        let dense = cache.get(itc02(), 1, 0.9).unwrap();
+        assert_ne!(*sparse, *dense, "ITC'02 cubes follow the density");
+        assert!(Arc::ptr_eq(&dense, &cache.get(itc02(), 1, 0.9).unwrap()));
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (3, 2));
     }
 }

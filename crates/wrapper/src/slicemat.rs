@@ -8,7 +8,7 @@
 //! chain-major (each chain's load sequence is a handful of contiguous cube
 //! ranges, so this is a few sub-word copies per chain), then a blocked bit
 //! transpose turns them slice-major. Rows then answer the encoder's
-//! questions with popcounts.
+//! questions with a few word operations each.
 //!
 //! Pad positions (depths past a chain's load length) hold `care = 0`,
 //! `value = 0` — exactly the don't-care encoding of
@@ -70,53 +70,12 @@ impl SliceMatrix {
         self.care.cols()
     }
 
-    /// Packed care mask of the slice at `depth` (bit `k` = chain `k`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth >= self.depths()`.
-    #[inline]
-    pub fn care_row(&self, depth: usize) -> &[u64] {
-        self.care.row(depth)
-    }
-
-    /// Packed value plane of the slice at `depth`, aligned with
-    /// [`care_row`](Self::care_row); don't-care chains read `0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth >= self.depths()`.
-    #[inline]
-    pub fn value_row(&self, depth: usize) -> &[u64] {
-        self.value.row(depth)
-    }
-
-    /// First chain whose care bit the packed slice `decoded` contradicts
-    /// at `depth`, or `None` when every care bit is satisfied.
-    ///
-    /// `decoded` is a packed slice row (bit `k % 64` of word `k / 64` =
-    /// chain `k`, at least [`chains`](Self::chains) bits). A chain
-    /// violates exactly where `care & (decoded ^ value)` is set, so a
-    /// clean row costs three word ops per 64 chains and the first
-    /// offender falls out of a trailing-zeros count — the word-parallel
-    /// heart of the batched stream verifier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth >= self.depths()` or `decoded` holds fewer words
-    /// than the care plane's rows.
-    pub fn violating_chain(&self, depth: usize, decoded: &[u64]) -> Option<usize> {
-        let care = self.care.row(depth);
-        let value = self.value.row(depth);
-        for (i, (&cw, &vw)) in care.iter().zip(value).enumerate() {
-            // Bits past the chain count have care = 0, so padding in
-            // `decoded` can never produce a false positive.
-            let bad = cw & (decoded[i] ^ vw);
-            if bad != 0 {
-                return Some(i * 64 + bad.trailing_zeros() as usize);
-            }
-        }
-        None
+    /// The packed `(care, value)` rows of every slice, shallowest first.
+    /// Bit `k % 64` of word `k / 64` is chain `k`: its care bit is set
+    /// where the symbol is specified, and its value bit gives the symbol
+    /// (`0` at don't-care chains and past the chain count).
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = (&[u64], &[u64])> {
+        self.care.row_iter().zip(self.value.row_iter())
     }
 
     /// Rebuilds the slice at `depth` as a `TritVec` — the slow reference
@@ -227,6 +186,17 @@ mod tests {
                     design.slice(&cube, depth),
                     "m={m} depth={depth}"
                 );
+            }
+            assert_eq!(sm.rows().len(), sm.depths());
+            for (depth, (care, value)) in sm.rows().enumerate() {
+                let bit = |words: &[u64], k: usize| words[k / 64] >> (k % 64) & 1 == 1;
+                let row: TritVec = (0..sm.chains())
+                    .map(|k| match (bit(care, k), bit(value, k)) {
+                        (false, _) => Trit::X,
+                        (true, v) => Trit::from_bit(v),
+                    })
+                    .collect();
+                assert_eq!(row, design.slice(&cube, depth as u64), "m={m} row {depth}");
             }
         }
     }

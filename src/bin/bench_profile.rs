@@ -50,11 +50,11 @@ use soc_tdc::model::benchmarks::{self, Design};
 use soc_tdc::model::generator::synthesize_missing_test_sets;
 use soc_tdc::model::Soc;
 use soc_tdc::planner::{
-    CompressionMode, DecisionConfig, DecisionTable, PlanControl, PlanRequest, Planner,
+    CompressionMode, DecisionConfig, DecisionTable, PlanControl, PlanRequest, Planner, Technique,
 };
 use soc_tdc::selenc::{
-    cube_cost, encode_cube, verify_stream, verify_test_set_stream, CoreProfile, Encoder,
-    ProfileConfig, SliceCode,
+    cube_cost, encode_cube, verify_operating_point, verify_stream, verify_test_set_stream,
+    CoreProfile, Encoder, ProfileConfig, SliceCode,
 };
 use soc_tdc::tam::{
     anneal_architecture, optimize_architecture, AnnealOptions, ArchitectureOptions, CostModel,
@@ -242,6 +242,26 @@ fn verify_soc_packed(soc: &Soc) -> u64 {
     total
 }
 
+/// The `(core index, m)` of every selectively encoded core in the
+/// per-core plan of `soc` at TAM width `width` (default fidelity, no
+/// plan-time verification).
+fn compressed_points(soc: &Soc, width: u32) -> Vec<(usize, u32)> {
+    let control = PlanControl::default().without_stream_verification();
+    let plan = Planner::per_core_tdc()
+        .plan_with(soc, &PlanRequest::tam_width(width), &control)
+        .expect("plan");
+    let points: Vec<(usize, u32)> = plan
+        .core_settings
+        .iter()
+        .filter_map(|s| match (s.technique, s.decompressor) {
+            (Technique::SelectiveEncoding, Some((_, m))) => Some((s.core.0, m)),
+            _ => None,
+        })
+        .collect();
+    assert!(!points.is_empty(), "the plan compresses some cores");
+    points
+}
+
 /// Nearest ancestor directory holding a `[workspace]` manifest — the
 /// tree the soclint entries scan.
 fn workspace_root() -> std::path::PathBuf {
@@ -422,14 +442,15 @@ fn main() {
     synthesize_missing_test_sets(&mut ckt7, SEED);
     let core7 = &ckt7.cores()[0];
     let ts = core7.test_set().expect("cubes attached");
-    for m in [64u32, 256] {
+    // m = 7 is the one-word slice of a narrow operating point (w = 5, the
+    // width W=24 plans pick), m = 64 a full word, m = 256 four words.
+    for (m, name) in [
+        (7u32, "cube_cost_ckt7_m7"),
+        (64, "cube_cost_ckt7_m64"),
+        (256, "cube_cost_ckt7_m256"),
+    ] {
         let design = design_wrapper(core7, m);
         let code = SliceCode::for_chains(design.chain_count());
-        let name: &'static str = if m == 64 {
-            "cube_cost_ckt7_m64"
-        } else {
-            "cube_cost_ckt7_m256"
-        };
         entries.push(timed(name, if smoke { 1 } else { 3 }, 1, min_of, || {
             let total: u64 = ts.iter().map(|c| cube_cost(code, &design, c)).sum();
             assert!(total > 0);
@@ -452,6 +473,22 @@ fn main() {
     // replayed through the bit-parallel emulator.
     entries.push(timed("verify_d695_packed", 1, 1, min_of, || {
         assert!(verify_soc_packed(&d695) > 0);
+    }));
+
+    // The streams a real plan verifies: the compressed operating points of
+    // the per-core W=24 plan of p34392 (6-7-chain slices at w = 5), the
+    // work of the replan loop's verification stage.
+    let p34392 = Design::P34392.build_with_cubes(SEED);
+    let points = compressed_points(&p34392, 24);
+    entries.push(timed("verify_p34392_w24_plan", 1, 1, min_of, || {
+        let mut words = 0u64;
+        for &(core, m) in &points {
+            let core = &p34392.cores()[core];
+            words += verify_operating_point(core, m)
+                .expect("stream verifies")
+                .codewords;
+        }
+        assert!(words > 0);
     }));
 
     // Lint self-benchmark: the full workspace scan (lex + parse + all

@@ -805,8 +805,8 @@ pub fn run(command: &Command, out: &mut dyn std::io::Write) -> Result<(), CliErr
                 control = control.checkpoint_to(path);
             }
             if let Some(dir) = &args.profile_cache {
-                control =
-                    control.cache_profiles_in(dir, profile_tag(&soc, args.seed, args.density));
+                let density = args.source.density(args.density);
+                control = control.cache_profiles_in(dir, profile_tag(&soc, args.seed, density));
             }
             if let Some(path) = &args.resume {
                 let text = std::fs::read_to_string(path)
@@ -1222,6 +1222,47 @@ mod tests {
             warm_text.contains("profile cache: 10 hits, 0 partial, 0 misses"),
             "{warm_text}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn plan_and_fleet_share_builtin_profiles_at_their_own_default_densities() {
+        // The CLI defaults to density 0.66 and fleet to 0.02; a builtin
+        // design reads neither, so both name the same profiles.
+        let dir = std::env::temp_dir().join(format!("soctdc-density-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let cache = dir.join("cache");
+        let plan = format!(
+            "plan --design d695 --width 12 --seed 1 --sample 4 --mcand 4 --profile-cache {}",
+            cache.display()
+        );
+        let mut out = Vec::new();
+        run(&parse_args(&argv(&plan)).unwrap(), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(
+            text.contains("profile cache: 0 hits, 0 partial, 10 misses"),
+            "{text}"
+        );
+        let manifest = dir.join("batch.txt");
+        std::fs::write(
+            &manifest,
+            "design d695 widths=12 seeds=1 sample=4 mcand=4\n",
+        )
+        .unwrap();
+        let fleet = format!(
+            "fleet --manifest {} --workers 1 --profile-cache {}",
+            manifest.display(),
+            cache.display()
+        );
+        let mut out = Vec::new();
+        run(&parse_args(&argv(&fleet)).unwrap(), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(
+            text.contains("profile cache: 10 hits, 0 partial, 0 misses"),
+            "{text}"
+        );
+        assert_eq!(crate::planner::profile_cache_entries(&cache).len(), 10);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

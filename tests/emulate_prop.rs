@@ -33,7 +33,11 @@ fn cube(len: usize, density: f64) -> impl Strategy<Value = TritVec> {
     .prop_map(|v| v.into_iter().collect())
 }
 
-/// A small hard core with arbitrary chain structure, plus a cube set.
+/// A core plus a cube set. The core is a small hard core with arbitrary
+/// chain structure (at most 5 scan chains, so its wrappers have one-word
+/// slices) or a flexible-cell core whose wrapper takes up to ~200 chains,
+/// so slices span several words and group literals straddle word
+/// boundaries.
 fn core_and_cubes() -> impl Strategy<Value = (Core, Vec<TritVec>)> {
     core_and_n_cubes(1..4)
 }
@@ -41,23 +45,38 @@ fn core_and_cubes() -> impl Strategy<Value = (Core, Vec<TritVec>)> {
 /// [`core_and_cubes`] with the cube count drawn from `count`.
 fn core_and_n_cubes(count: std::ops::Range<usize>) -> impl Strategy<Value = (Core, Vec<TritVec>)> {
     (
-        proptest::collection::vec(1u32..40, 1..6), // scan chains
+        proptest::collection::vec(1u32..40, 1..6), // scan chains of a hard core
+        prop_oneof![Just(None), (200u32..400).prop_map(Some)], // or flexible cells
         0u32..12,                                  // inputs
         0u32..12,                                  // outputs
         0.02f64..0.9,                              // care density
     )
-        .prop_flat_map(move |(chains, inputs, outputs, density)| {
-            let core = Core::builder("prop")
+        .prop_flat_map(move |(chains, flexible, inputs, outputs, density)| {
+            let builder = Core::builder("prop")
                 .inputs(inputs)
                 .outputs(outputs)
-                .fixed_chains(chains)
-                .pattern_count(1)
-                .build()
-                .expect("valid core");
+                .pattern_count(1);
+            let core = match flexible {
+                Some(cells) => builder.flexible_cells(cells, 256),
+                None => builder.fixed_chains(chains),
+            }
+            .build()
+            .expect("valid core");
             let len = core.scan_load_bits() as usize;
             proptest::collection::vec(cube(len, density), count.clone())
                 .prop_map(move |cs| (core.clone(), cs))
         })
+}
+
+/// Decompressor chain counts: narrow ones, wide ones up to ~200, and both
+/// sides of the one- and two-word slice boundaries. A hard core clamps a
+/// count above its chain capacity, as the planner's evaluation does.
+fn chain_count() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        2 => 1u32..24,
+        1 => 24u32..210,
+        1 => prop_oneof![Just(63u32), Just(64), Just(65), Just(127), Just(128), Just(129)],
+    ]
 }
 
 /// Per-core spec for the incremental-rebuild property: chain lengths and
@@ -98,7 +117,7 @@ proptest! {
     #[test]
     fn packed_emitter_matches_scalar_encoder(
         (core, cubes) in core_and_cubes(),
-        m in 1u32..24,
+        m in chain_count(),
     ) {
         let design = design_wrapper(&core, m);
         let code = SliceCode::for_chains(design.chain_count());
@@ -124,7 +143,7 @@ proptest! {
     #[test]
     fn packed_verifier_accepts_valid_streams(
         (core, cubes) in core_and_cubes(),
-        m in 1u32..24,
+        m in chain_count(),
     ) {
         let design = design_wrapper(&core, m);
         let code = SliceCode::for_chains(design.chain_count());
@@ -145,7 +164,7 @@ proptest! {
     #[test]
     fn chunked_verification_sums_to_the_whole_test_set(
         (core, cubes) in core_and_n_cubes(1..12),
-        m in 1u32..24,
+        m in chain_count(),
         cuts in proptest::collection::vec(any::<bool>(), 12),
     ) {
         let design = design_wrapper(&core, m);
@@ -181,7 +200,7 @@ proptest! {
     #[test]
     fn packed_verifier_matches_scalar_on_corrupted_streams(
         (core, cubes) in core_and_cubes(),
-        m in 1u32..24,
+        m in chain_count(),
         pick in 0usize..1024,
         kind in 0u8..3,
         mask in 1u32..u32::MAX,
