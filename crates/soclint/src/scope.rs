@@ -32,9 +32,8 @@ pub const DETERMINISM_CRATES: &[&str] = &[
     "fleet",
 ];
 
-/// Crates allowed to read the wall clock: `robust` owns deadlines, the
-/// vendored `criterion` shim times benchmarks.
-pub const WALL_CLOCK_CRATES: &[&str] = &["robust", "criterion", "bench"];
+/// Crates allowed to read the wall clock: `robust` owns deadlines.
+pub const WALL_CLOCK_CRATES: &[&str] = &["robust"];
 
 /// Files that parse untrusted input end to end; panicking there turns bad
 /// input into a crash, so `unwrap`/`expect`/`panic!`/unguarded indexing
@@ -95,7 +94,7 @@ pub fn classify(path: &str) -> FileScope {
         || path.starts_with("examples/");
 
     // Bench binaries in the root package are measurement code, exempt
-    // from the wall-clock ban like the bench crate itself.
+    // from the wall-clock ban; the experiment binaries beside them are not.
     let bench_bin = path.starts_with("src/bin/bench_");
 
     let determinism = DETERMINISM_CRATES.contains(&crate_name.as_str()) && !all_test && !bench_bin;
@@ -317,6 +316,11 @@ mod tests {
         let bench_bin = classify("src/bin/bench_profile.rs");
         assert!(!bench_bin.wall_clock_banned && !bench_bin.determinism);
         assert_eq!(bench_bin.crate_name, "soc-tdc");
+        // Experiment binaries print committed results, so they must not
+        // read the clock the bench binary beside them times with.
+        let experiment = classify("src/bin/ablations.rs");
+        assert!(experiment.wall_clock_banned && experiment.bin_root);
+        assert_eq!(experiment.crate_name, "soc-tdc");
 
         // The batched decompressor emulator replays plan-verified streams;
         // it must stay under the determinism and wall-clock bans like the

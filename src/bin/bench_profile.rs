@@ -28,9 +28,8 @@
 //! measurement.
 //!
 //! `--check BASELINE` compares this run's
-//! `tables_*`/`plan_*`/`fleet_*`/`soclint_*`/`dsan_*` entries against the
-//! most
-//! recent run in a committed
+//! `tables_*`/`plan_*`/`fleet_*`/`soclint_*`/`dsan_*` entries
+//! (`GATED_PREFIXES`) against the most recent run in a committed
 //! `BENCH_profile.json` that records the same entry, and exits non-zero
 //! when any is more than 20% worse — the CI perf-regression gate. Each
 //! entry carries its comparison direction explicitly: time entries
@@ -66,6 +65,10 @@ const SEED: u64 = 2008;
 /// Regression threshold for `--check`: fail when an entry is more than
 /// this factor slower than its committed baseline.
 const CHECK_TOLERANCE: f64 = 1.20;
+
+/// Name prefixes of the entries `--check` gates; every other entry is
+/// reported only.
+const GATED_PREFIXES: &[&str] = &["tables_", "plan_", "fleet_", "soclint_", "dsan_"];
 
 /// Which way an entry's number is supposed to move.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -349,20 +352,15 @@ fn parse_baseline(text: &str) -> Vec<BaselineEntry> {
 }
 
 /// The perf-regression gate behind `--check`: compares this run's
-/// `tables_*`/`plan_*`/`fleet_*`/`soclint_*` entries against the
-/// *latest* committed
-/// run that records the same entry name, each in its own direction.
+/// `tables_*`/`plan_*`/`fleet_*`/`soclint_*`/`dsan_*` entries
+/// (`GATED_PREFIXES`) against the *latest* committed run that records
+/// the same entry name, each in its own direction.
 /// Returns the failure messages (empty = gate passes).
 fn check_regressions(entries: &[Entry], baseline_text: &str) -> Vec<String> {
     let baseline = parse_baseline(baseline_text);
     let mut failures = Vec::new();
     for e in entries {
-        let gated = e.name.starts_with("tables_")
-            || e.name.starts_with("plan_")
-            || e.name.starts_with("fleet_")
-            || e.name.starts_with("soclint_")
-            || e.name.starts_with("dsan_");
-        if !gated {
+        if !GATED_PREFIXES.iter().any(|p| e.name.starts_with(p)) {
             continue;
         }
         let Some(base) = baseline.iter().rev().find(|b| b.name == e.name) else {
@@ -789,6 +787,23 @@ mod tests {
         let failures = check_regressions(&[slow], BASELINE);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("higher is better"), "{failures:?}");
+
+        // The lint and sanitizer-overhead entries are gated too.
+        let lint_and_dsan = "\
+            { \"name\": \"soclint_z\", \"millis\": 10.0, \"iters\": 1, \"workers\": 1 },\n\
+            { \"name\": \"dsan_w\", \"millis\": 1.0, \"iters\": 1, \"workers\": 2 }\n";
+        let ok = [
+            entry("soclint_z", 11.0, "millis", Direction::Lower),
+            entry("dsan_w", 1.1, "millis", Direction::Lower),
+        ];
+        assert!(check_regressions(&ok, lint_and_dsan).is_empty());
+        let slow = [
+            entry("soclint_z", 13.0, "millis", Direction::Lower),
+            entry("dsan_w", 1.3, "millis", Direction::Lower),
+        ];
+        let failures = check_regressions(&slow, lint_and_dsan);
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures[0].starts_with("soclint_z") && failures[1].starts_with("dsan_w"));
 
         // Ungated and baseline-less entries never fail the gate.
         let ungated = entry("cube_cost_q", 9e9, "millis", Direction::Lower);
