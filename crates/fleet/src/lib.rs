@@ -10,14 +10,15 @@
 //! order at any worker count, so a fleet run is bit-identical to planning
 //! each instance alone, sequentially.
 //!
-//! Memory stays bounded: design instances built from the same content are
-//! shared through a bounded LRU [`tdcsoc::SocCache`], planner memo caches are
-//! bounded per design, and the shared on-disk profile cache uses the
-//! sharded concurrent-writer-safe layout from `tdcsoc` — so instances that
-//! share cores (the same ITC'02 file at several widths) reuse each other's
-//! operating-point profiles across the whole batch. With that cache, the
-//! widest instance of each profile key plans first, so each profile is
-//! built once.
+//! Every instance plans through one [`tdcsoc::Engine`] per batch, so
+//! memory stays bounded: instances built from the same content share one
+//! SOC from the engine's bounded LRU, built once even when workers miss it
+//! together; planner memo caches are bounded per design; and the shared
+//! on-disk profile cache uses the sharded concurrent-writer-safe layout
+//! from `tdcsoc` — so instances that share cores (the same ITC'02 file at
+//! several widths) reuse each other's operating-point profiles across the
+//! whole batch. With that cache, the widest instance of each profile key
+//! plans first, so each profile is built once.
 //!
 //! ```
 //! let manifest = fleet::Manifest::parse("design d695 widths=12 sample=4 mcand=4\n").unwrap();

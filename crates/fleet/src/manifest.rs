@@ -38,7 +38,7 @@
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-use tdcsoc::{planner_for, DecisionConfig, SocSource};
+use tdcsoc::{planner_for, DecisionConfig, Job, PlanRequest, SocSource};
 
 /// A short label for instance ids: the design name or the file stem.
 fn source_label(source: &SocSource) -> String {
@@ -48,16 +48,6 @@ fn source_label(source: &SocSource) -> String {
             .file_stem()
             .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned()),
     }
-}
-
-/// Whether two instances plan the same job: every field agrees, the
-/// density only where the source reads it ([`SocSource::density`]).
-fn same_job(a: &Instance, b: &Instance) -> bool {
-    fn job(i: &Instance) -> (&SocSource, u32, u64, &str, &DecisionConfig, Option<u64>) {
-        let density = i.source.density(i.density).map(f64::to_bits);
-        (&i.source, i.width, i.seed, &i.mode, &i.decisions, density)
-    }
-    job(a) == job(b)
 }
 
 /// One fully-expanded design instance: a single `(source, width, seed)`
@@ -81,6 +71,20 @@ pub struct Instance {
     /// ITC'02 care-bit density (builtin designs and simple-format files
     /// carry their own).
     pub density: f64,
+}
+
+impl Instance {
+    /// The planning job this instance states. Two instances plan the same
+    /// when their jobs are equal.
+    pub(crate) fn job(&self) -> Job {
+        Job {
+            source: self.source.clone(),
+            seed: self.seed,
+            density: self.density,
+            mode: self.mode.clone(),
+            request: PlanRequest::tam_width(self.width).with_decisions(self.decisions.clone()),
+        }
+    }
 }
 
 /// A parsed, fully-expanded fleet manifest.
@@ -155,7 +159,7 @@ impl Manifest {
                     }
                     Entry::Occupied(slot) => {
                         let (first_line, first) = *slot.get();
-                        if !instances.get(first).is_some_and(|f| same_job(f, &inst)) {
+                        if !instances.get(first).is_some_and(|f| f.job() == inst.job()) {
                             return Err(err(
                                 lineno,
                                 format!(

@@ -18,25 +18,21 @@
 //! its table at any wider width, so each profile is built once.
 
 use std::collections::BTreeMap;
-use std::num::NonZeroUsize;
 use std::path::PathBuf;
 // soclint: allow(wall-clock) -- fleet latency/throughput reporting only; no plan content derives from time
 use std::time::Instant;
 
 use parpool::{split_budget, Pool};
-use robust::{CacheLimits, CacheStats};
-use tdcsoc::{
-    planner_for, profile_tag, Plan, PlanControl, PlanOutcome, PlanRequest, PlanStats, SocCache,
-    SocSource,
-};
+use robust::CacheStats;
+use tdcsoc::{Engine, Job, Plan, PlanControl, PlanOutcome, PlanStats, ProfileKey};
 
 use crate::manifest::{Instance, Manifest};
 
 /// Knobs for one fleet run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetOptions {
-    /// Total worker budget across both scheduling levels; `0` auto-detects
-    /// via [`std::thread::available_parallelism`]. The deterministic
+    /// Total worker budget across both scheduling levels; `0` is one per
+    /// available CPU ([`Engine::workers`]). The deterministic
     /// [`parpool::split_budget`] policy divides it into
     /// `outer × inner ≤ budget`.
     pub workers: usize,
@@ -44,9 +40,6 @@ pub struct FleetOptions {
     /// concurrent writers — every fleet worker (and other processes) may
     /// point at the same root.
     pub profile_cache: Option<PathBuf>,
-    /// LRU bounds on the batch's [`SocCache`] (built SOCs with
-    /// synthesized test sets, reused across width and mode sweeps).
-    pub soc_cache: CacheLimits,
     /// Skip the per-plan compressed-stream replay (faster; plans are
     /// unchanged — verification never alters a plan).
     pub skip_stream_verification: bool,
@@ -67,18 +60,6 @@ pub struct FleetHooks<'a> {
     /// while the batch is still running. The final report is still in
     /// manifest order.
     pub on_report: Option<&'a (dyn Fn(&InstanceReport) + Sync)>,
-}
-
-impl Default for FleetOptions {
-    fn default() -> Self {
-        FleetOptions {
-            workers: 0,
-            profile_cache: None,
-            soc_cache: SocCache::DEFAULT_LIMITS,
-            skip_stream_verification: false,
-            resume_plan_dir: None,
-        }
-    }
 }
 
 /// How one instance concluded.
@@ -222,14 +203,7 @@ impl std::fmt::Display for FleetSummary {
             .map(|(k, n)| format!("{k} {n}"))
             .collect();
         writeln!(f, "outcomes: {}", outcomes.join(", "))?;
-        writeln!(
-            f,
-            "profile cache: {} hits, {} partial, {} misses, {} evictions",
-            self.stats.profile_hits,
-            self.stats.profile_partial_hits,
-            self.stats.profile_misses,
-            self.stats.profile_evictions
-        )?;
+        writeln!(f, "{}", self.stats.profile_cache_line())?;
         writeln!(
             f,
             "memo caches: {} hits, {} misses, {} evictions",
@@ -268,15 +242,8 @@ pub fn run_fleet_with(manifest: &Manifest, opts: &FleetOptions, hooks: &FleetHoo
     // soclint: allow(wall-clock) -- batch throughput reporting only
     #[allow(clippy::disallowed_methods)]
     let t0 = Instant::now();
-    let budget = if opts.workers == 0 {
-        std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        opts.workers
-    };
-
-    let socs = SocCache::new(opts.soc_cache);
+    let budget = Engine::workers(opts.workers);
+    let engine = Engine::new(opts.profile_cache.clone());
     let (leaders, followers) = leaders_and_followers(manifest, opts.profile_cache.is_some());
     let mut slots: Vec<Option<InstanceReport>> = vec![None; manifest.len()];
     let mut phases = Vec::with_capacity(2);
@@ -291,9 +258,9 @@ pub fn run_fleet_with(manifest: &Manifest, opts: &FleetOptions, hooks: &FleetHoo
             .iter()
             .filter_map(|&i| manifest.instances.get(i))
             .map(|inst| {
-                let socs = &socs;
+                let engine = &engine;
                 move || {
-                    let report = plan_instance(inst, inner, opts, socs);
+                    let report = plan_instance(inst, inner, opts, engine);
                     if let Some(on_report) = hooks.on_report {
                         on_report(&report);
                     }
@@ -316,16 +283,10 @@ pub fn run_fleet_with(manifest: &Manifest, opts: &FleetOptions, hooks: &FleetHoo
     let instances: Vec<InstanceReport> = slots.into_iter().flatten().collect();
 
     let elapsed_s = t0.elapsed().as_secs_f64();
-    let soc_cache = socs.stats();
+    let soc_cache = engine.soc_stats();
     let summary = summarize(&instances, elapsed_s, soc_cache, phases, budget);
     FleetReport { instances, summary }
 }
-
-/// What an instance's profiles are cached under: its source, seed, the
-/// bits of the density its source reads ([`SocSource::density`]) and
-/// fidelity (pattern sample, `m` candidates). The mode is not part of it:
-/// every mode that reads the cache shares the entries.
-type ProfileKey<'a> = (&'a SocSource, u64, Option<u64>, Option<usize>, usize);
 
 /// Splits the manifest's indices into leaders and followers, each in
 /// manifest order. Without a profile cache every instance leads.
@@ -338,7 +299,8 @@ fn leaders_and_followers(manifest: &Manifest, cached: bool) -> (Vec<usize>, Vec<
     }
     // Each key's leader as (width, index): the widest, first on a tie.
     let mut widest: BTreeMap<ProfileKey<'_>, (u32, usize)> = BTreeMap::new();
-    let keys: Vec<Option<ProfileKey<'_>>> = manifest.instances.iter().map(profile_key).collect();
+    let jobs: Vec<Job> = manifest.instances.iter().map(Instance::job).collect();
+    let keys: Vec<Option<ProfileKey<'_>>> = jobs.iter().map(Job::profile_key).collect();
     for (i, (inst, k)) in manifest.instances.iter().zip(&keys).enumerate() {
         if let Some(k) = k {
             let lead = widest.entry(*k).or_insert((inst.width, i));
@@ -351,18 +313,6 @@ fn leaders_and_followers(manifest: &Manifest, cached: bool) -> (Vec<usize>, Vec<
         Some(k) => widest.get(&k).is_some_and(|&(_, lead)| lead == i),
         None => true,
     })
-}
-
-/// The instance's profile key, if its planner reads the profile cache.
-fn profile_key(inst: &Instance) -> Option<ProfileKey<'_>> {
-    let reads = planner_for(&inst.mode).is_some_and(|p| p.reads_profile_cache());
-    reads.then_some((
-        &inst.source,
-        inst.seed,
-        inst.source.density(inst.density).map(f64::to_bits),
-        inst.decisions.pattern_sample,
-        inst.decisions.m_candidates,
-    ))
 }
 
 /// Builds the aggregate summary from the ordered per-instance reports.
@@ -443,67 +393,43 @@ fn nearest_rank(sorted: &[f64], percent: usize) -> f64 {
     sorted.get(idx).copied().unwrap_or(0.0)
 }
 
-/// Plans one instance with `inner` table workers, reusing the shared SOC
-/// cache. Failures are confined to this instance's report.
+/// Plans one instance with `inner` table workers on the batch's engine.
+/// Failures are confined to this instance's report.
 fn plan_instance(
     inst: &Instance,
     inner: usize,
     opts: &FleetOptions,
-    socs: &SocCache,
+    engine: &Engine,
 ) -> InstanceReport {
     // soclint: allow(wall-clock) -- per-design latency reporting only
     #[allow(clippy::disallowed_methods)]
     let t0 = Instant::now();
-    let failed = |message: String, t0: Instant| InstanceReport {
-        id: inst.id.clone(),
-        outcome: InstanceOutcome::Failed(message),
-        latency_ms: t0.elapsed().as_secs_f64() * 1e3,
-        stats: PlanStats::default(),
-        plan: None,
-    };
-    if let Some(dir) = &opts.resume_plan_dir {
-        if let Some(plan) = try_resume(dir, &inst.id) {
-            return InstanceReport {
-                id: inst.id.clone(),
-                outcome: InstanceOutcome::Resumed,
-                latency_ms: t0.elapsed().as_secs_f64() * 1e3,
-                stats: PlanStats::default(),
-                plan: Some(plan),
+    let dir = opts.resume_plan_dir.as_deref();
+    let (outcome, stats, plan) = match dir.and_then(|dir| try_resume(dir, &inst.id)) {
+        Some(plan) => (InstanceOutcome::Resumed, PlanStats::default(), Some(plan)),
+        None => {
+            let mut job = inst.job();
+            job.request.architecture.workers = Some(inner);
+            let control = PlanControl {
+                skip_stream_verification: opts.skip_stream_verification,
+                ..PlanControl::default()
             };
+            match engine.plan(&job, control) {
+                Ok((plan, stats)) => (InstanceOutcome::Planned(plan.outcome), stats, Some(plan)),
+                Err(e) => (
+                    InstanceOutcome::Failed(e.to_string()),
+                    PlanStats::default(),
+                    None,
+                ),
+            }
         }
-    }
-    let soc = match inst
-        .source
-        .read()
-        .and_then(|content| socs.get(content, inst.seed, inst.density))
-    {
-        Ok(soc) => soc,
-        Err(message) => return failed(message, t0),
     };
-    let planner = match planner_for(&inst.mode) {
-        Some(planner) => planner,
-        None => return failed(format!("unknown mode `{}`", inst.mode), t0),
-    };
-    let mut request = PlanRequest::tam_width(inst.width);
-    request.decisions = inst.decisions.clone();
-    request.architecture.workers = Some(inner);
-    let mut control = PlanControl::default();
-    if opts.skip_stream_verification {
-        control = control.without_stream_verification();
-    }
-    if let Some(dir) = &opts.profile_cache {
-        let density = inst.source.density(inst.density);
-        control = control.cache_profiles_in(dir, profile_tag(&soc, inst.seed, density));
-    }
-    match planner.plan_with_stats(&soc, &request, &control) {
-        Ok((plan, stats)) => InstanceReport {
-            id: inst.id.clone(),
-            outcome: InstanceOutcome::Planned(plan.outcome),
-            latency_ms: t0.elapsed().as_secs_f64() * 1e3,
-            stats,
-            plan: Some(plan),
-        },
-        Err(e) => failed(e.to_string(), t0),
+    InstanceReport {
+        id: inst.id.clone(),
+        outcome,
+        latency_ms: t0.elapsed().as_secs_f64() * 1e3,
+        stats,
+        plan,
     }
 }
 
@@ -598,22 +524,26 @@ mod tests {
     #[test]
     fn width_sweeps_share_the_cached_soc() {
         let manifest = Manifest::parse("design d695 widths=8,10,12 sample=4 mcand=4\n").unwrap();
-        // One outer worker: the cache counters are exact (concurrent
-        // outer workers may race to the first build, which is harmless
-        // but makes hit counts host-dependent).
-        let opts = FleetOptions {
-            workers: 1,
-            ..FleetOptions::default()
-        };
-        let report = run_fleet(&manifest, &opts);
-        assert_eq!(report.summary.planned, 3);
-        // One build, two hits: all three widths reuse the same instance.
-        assert_eq!(report.summary.soc_cache.misses, 1);
-        assert_eq!(report.summary.soc_cache.hits, 2);
-        // Summary display mentions the load-bearing numbers.
-        let text = report.summary.to_string();
-        assert!(text.contains("3 planned"), "{text}");
-        assert!(text.contains("designs/sec"), "{text}");
+        for workers in [1, 2, 4] {
+            let opts = FleetOptions {
+                workers,
+                ..FleetOptions::default()
+            };
+            let report = run_fleet(&manifest, &opts);
+            assert_eq!(report.summary.planned, 3);
+            // One build, two hits: all three widths reuse the same
+            // instance, and concurrent misses wait for the one build.
+            let soc_cache = report.summary.soc_cache;
+            assert_eq!(
+                (soc_cache.misses, soc_cache.hits),
+                (1, 2),
+                "workers {workers}"
+            );
+            // Summary display mentions the load-bearing numbers.
+            let text = report.summary.to_string();
+            assert!(text.contains("3 planned"), "{text}");
+            assert!(text.contains("designs/sec"), "{text}");
+        }
     }
 
     #[test]

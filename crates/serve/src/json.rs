@@ -37,6 +37,11 @@ pub enum Value {
 }
 
 impl Value {
+    /// An integer value, saturated at `i64::MAX`.
+    pub(crate) fn int(n: impl TryInto<i64>) -> Value {
+        Value::Int(n.try_into().unwrap_or(i64::MAX))
+    }
+
     /// The value as a string slice, if it is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {

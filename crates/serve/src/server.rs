@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use robust::{BoundedCache, CacheLimits, CancelToken, Deadline};
-use tdcsoc::{profile_tag, PlanControl, PlanRequest, ProfileCacheConfig};
+use tdcsoc::{Engine, PlanControl};
 
 use crate::fault::FaultPlan;
 use crate::http;
@@ -40,15 +40,13 @@ pub struct ServeConfig {
     pub root: PathBuf,
     /// Optional `host:port` for the HTTP listener.
     pub http: Option<String>,
-    /// Planning worker threads.
+    /// Planning worker threads (`0` = one per available CPU).
     pub workers: usize,
     /// Request-queue capacity; pushes beyond it are shed with
     /// `retry_after_ms`.
     pub queue_cap: usize,
     /// Wall-clock budget applied to plan requests that do not carry one.
     pub default_budget_ms: u64,
-    /// Entry/byte caps for the in-memory plan-text memo.
-    pub memo_limits: CacheLimits,
 }
 
 impl ServeConfig {
@@ -62,10 +60,12 @@ impl ServeConfig {
             workers: 2,
             queue_cap: 16,
             default_budget_ms: 30_000,
-            memo_limits: CacheLimits::new(256, 8 << 20),
         }
     }
 }
+
+/// Entry/byte caps of the in-memory plan-text memo.
+const MEMO_LIMITS: CacheLimits = CacheLimits::new(256, 8 << 20);
 
 pub use tdcsoc::planner_for;
 
@@ -89,7 +89,7 @@ struct Counters {
     shed: AtomicU64,
 }
 
-/// Shared daemon state; its store holds the one SOC cache for the
+/// Shared daemon state; its store holds the one planning engine for the
 /// daemon's life.
 struct Ctx {
     store: SessionStore,
@@ -144,10 +144,7 @@ fn enqueue_plan(
         ("session", Value::Str(session.to_string())),
         ("mode", Value::Str(mode.to_string())),
         ("width", Value::Int(i64::from(width))),
-        (
-            "budget_ms",
-            Value::Int(i64::try_from(budget_ms).unwrap_or(i64::MAX)),
-        ),
+        ("budget_ms", Value::int(budget_ms)),
     ]);
     // Journal BEFORE queueing: from here on a crash is recoverable.
     let request = ctx
@@ -199,13 +196,6 @@ fn run_job(ctx: &Arc<Ctx>, job: &PlanJob) -> Value {
     let Some(meta) = ctx.store.load_meta(&job.session) else {
         return fail(format!("unknown session `{}`", job.session));
     };
-    let (soc, density) = match ctx.store.load_soc(&meta) {
-        Ok(loaded) => loaded,
-        Err(e) => return fail(e.to_string()),
-    };
-    let Some(planner) = planner_for(&job.mode) else {
-        return fail(format!("unknown mode `{}`", job.mode));
-    };
     // `budget_ms: 0` means *no* deadline (the fully deterministic plan),
     // not an already-expired one.
     let deadline = match job.budget_ms {
@@ -215,16 +205,11 @@ fn run_job(ctx: &Arc<Ctx>, job: &PlanJob) -> Value {
     let control = PlanControl {
         deadline,
         token: job.token.clone(),
-        profile_cache: Some(ProfileCacheConfig::new(
-            ctx.store.cache_dir(),
-            profile_tag(&soc, meta.seed, density),
-        )),
         ..PlanControl::default()
     };
-    let request = PlanRequest::tam_width(job.width);
-    let (plan, stats) = match planner.plan_with_stats(&soc, &request, &control) {
+    let (plan, stats) = match ctx.store.plan(&meta, &job.mode, job.width, control) {
         Ok(result) => result,
-        Err(e) => return fail(format!("plan: {e}")),
+        Err(e) => return fail(e),
     };
     let text = tdcsoc::write_plan(&plan);
     ctx.faults.point("before-plan-write");
@@ -253,38 +238,17 @@ fn run_job(ctx: &Arc<Ctx>, job: &PlanJob) -> Value {
         ("session", Value::Str(job.session.clone())),
         ("request", Value::Str(job.request.clone())),
         ("outcome", Value::Str(plan.outcome.to_string())),
-        (
-            "test_time",
-            Value::Int(i64::try_from(plan.test_time).unwrap_or(i64::MAX)),
-        ),
-        (
-            "volume_bits",
-            Value::Int(i64::try_from(plan.volume_bits).unwrap_or(i64::MAX)),
-        ),
+        ("test_time", Value::int(plan.test_time)),
+        ("volume_bits", Value::int(plan.volume_bits)),
         // Plan-time stream verification totals (0 streams would mean an
         // uncompressed plan, not a skipped check — serve never opts out).
-        (
-            "verified_streams",
-            Value::Int(i64::try_from(stats.streams_verified).unwrap_or(i64::MAX)),
-        ),
-        (
-            "verified_words",
-            Value::Int(i64::try_from(stats.stream_words).unwrap_or(i64::MAX)),
-        ),
+        ("verified_streams", Value::int(stats.streams_verified)),
+        ("verified_words", Value::int(stats.stream_words)),
         // Profile-cache effectiveness: how much of the plan was answered
         // from prior requests' work (incremental rebuilds across sessions).
-        (
-            "profile_hits",
-            Value::Int(i64::try_from(stats.profile_hits).unwrap_or(i64::MAX)),
-        ),
-        (
-            "profile_partial",
-            Value::Int(i64::try_from(stats.profile_partial_hits).unwrap_or(i64::MAX)),
-        ),
-        (
-            "profile_misses",
-            Value::Int(i64::try_from(stats.profile_misses).unwrap_or(i64::MAX)),
-        ),
+        ("profile_hits", Value::int(stats.profile_hits)),
+        ("profile_partial", Value::int(stats.profile_partial_hits)),
+        ("profile_misses", Value::int(stats.profile_misses)),
     ])
 }
 
@@ -322,24 +286,25 @@ fn plan_text_cached(ctx: &Arc<Ctx>, session: &str, request: &str) -> Option<Stri
 fn status_value(ctx: &Arc<Ctx>) -> Value {
     let stats = ctx.memo.lock().expect("memo poisoned").stats();
     let socs = ctx.store.soc_stats();
-    let as_int = |n: u64| Value::Int(i64::try_from(n).unwrap_or(i64::MAX));
-    let usize_int = |n: usize| Value::Int(i64::try_from(n).unwrap_or(i64::MAX));
     obj(vec![
-        ("sessions", usize_int(ctx.store.session_names().len())),
-        ("queue_depth", usize_int(ctx.queue.len())),
-        ("queue_capacity", usize_int(ctx.queue.capacity())),
+        ("sessions", Value::int(ctx.store.session_names().len())),
+        ("queue_depth", Value::int(ctx.queue.len())),
+        ("queue_capacity", Value::int(ctx.queue.capacity())),
         (
             "completed",
-            as_int(ctx.counters.completed.load(Ordering::SeqCst)),
+            Value::int(ctx.counters.completed.load(Ordering::SeqCst)),
         ),
-        ("failed", as_int(ctx.counters.failed.load(Ordering::SeqCst))),
-        ("shed", as_int(ctx.counters.shed.load(Ordering::SeqCst))),
-        ("memo_hits", as_int(stats.hits)),
-        ("memo_misses", as_int(stats.misses)),
-        ("memo_evictions", as_int(stats.evictions)),
-        ("soc_hits", as_int(socs.hits)),
-        ("soc_misses", as_int(socs.misses)),
-        ("soc_evictions", as_int(socs.evictions)),
+        (
+            "failed",
+            Value::int(ctx.counters.failed.load(Ordering::SeqCst)),
+        ),
+        ("shed", Value::int(ctx.counters.shed.load(Ordering::SeqCst))),
+        ("memo_hits", Value::int(stats.hits)),
+        ("memo_misses", Value::int(stats.misses)),
+        ("memo_evictions", Value::int(stats.evictions)),
+        ("soc_hits", Value::int(socs.hits)),
+        ("soc_misses", Value::int(socs.misses)),
+        ("soc_evictions", Value::int(socs.evictions)),
     ])
 }
 
@@ -590,29 +555,16 @@ fn handle_http_connection(ctx: &Arc<Ctx>, stream: TcpStream) {
 /// the queue is full the job runs inline — recovered work is never shed.
 fn reenqueue_recovered(ctx: &Arc<Ctx>, inflight: Vec<crate::session::InflightRequest>) {
     for req in inflight {
-        let mode = req
-            .body
-            .field("mode")
-            .and_then(Value::as_str)
-            .unwrap_or("per-core")
-            .to_string();
-        let width = req
-            .body
-            .field("width")
-            .and_then(Value::as_u64)
-            .and_then(|w| u32::try_from(w).ok())
-            .unwrap_or(16);
-        let budget_ms = req
-            .body
-            .field("budget_ms")
-            .and_then(Value::as_u64)
-            .unwrap_or(ctx.default_budget_ms);
+        let number = |name| req.body.field(name).and_then(Value::as_u64);
+        let mode = req.body.field("mode").and_then(Value::as_str);
         let job = PlanJob {
+            mode: mode.unwrap_or("per-core").to_string(),
+            width: number("width")
+                .and_then(|w| u32::try_from(w).ok())
+                .unwrap_or(16),
+            budget_ms: number("budget_ms").unwrap_or(ctx.default_budget_ms),
             session: req.session,
             request: req.request,
-            mode,
-            width,
-            budget_ms,
             token: CancelToken::never(),
             reply: None,
         };
@@ -656,7 +608,7 @@ pub fn run_with_io(
         queue: BoundedQueue::new(capacity),
         faults: FaultPlan::from_env(),
         stdout: Mutex::new(output),
-        memo: Mutex::new(BoundedCache::new(config.memo_limits)),
+        memo: Mutex::new(BoundedCache::new(MEMO_LIMITS)),
         counters: Counters::default(),
         default_budget_ms: config.default_budget_ms.max(1),
         shutting_down: AtomicBool::new(false),
@@ -664,23 +616,14 @@ pub fn run_with_io(
 
     ctx.emit(&obj(vec![
         ("event", Value::Str("ready".into())),
-        (
-            "recovered_sessions",
-            Value::Int(i64::try_from(recovery.sessions.len()).unwrap_or(0)),
-        ),
-        (
-            "recovered_inflight",
-            Value::Int(i64::try_from(recovery.inflight.len()).unwrap_or(0)),
-        ),
-        (
-            "quarantined",
-            Value::Int(i64::try_from(recovery.quarantined.len()).unwrap_or(0)),
-        ),
+        ("recovered_sessions", Value::int(recovery.sessions.len())),
+        ("recovered_inflight", Value::int(recovery.inflight.len())),
+        ("quarantined", Value::int(recovery.quarantined.len())),
     ]));
     reenqueue_recovered(&ctx, recovery.inflight);
 
     let mut workers = Vec::new();
-    for _ in 0..config.workers.max(1) {
+    for _ in 0..Engine::workers(config.workers) {
         let ctx = Arc::clone(&ctx);
         workers.push(std::thread::spawn(move || worker_loop(ctx)));
     }

@@ -24,11 +24,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use robust::CacheStats;
-use soc_model::Soc;
-use tdcsoc::{SocCache, SocContent, SocSource};
+use tdcsoc::{Engine, Job, JobError, Plan, PlanControl, PlanRequest, PlanStats};
+use tdcsoc::{SocContent, SocSource};
 
 use crate::json::{self, obj, Value};
 
@@ -84,10 +84,7 @@ impl SessionMeta {
         let mut pairs = vec![
             ("name", Value::Str(self.name.clone())),
             ("kind", Value::Str(self.kind.clone())),
-            (
-                "seed",
-                Value::Int(i64::try_from(self.seed).unwrap_or(i64::MAX)),
-            ),
+            ("seed", Value::int(self.seed)),
             ("density", Value::Num(self.density)),
         ];
         if let Some(b) = &self.benchmark {
@@ -137,15 +134,15 @@ pub struct Recovery {
     pub quarantined: Vec<String>,
 }
 
-/// The daemon's persistent state root, with the SOC cache that serves
-/// every session's plans for the store's life.
+/// The daemon's persistent state root, with the planning engine that
+/// serves every session's plans for the store's life: one SOC cache, and
+/// the profile cache under `cache/`.
 #[derive(Debug)]
 pub struct SessionStore {
     root: PathBuf,
-    quarantine_seq: std::sync::atomic::AtomicU64,
     /// Serializes request-id allocation with its journal write.
     journal: Mutex<()>,
-    socs: SocCache,
+    engine: Engine,
 }
 
 /// Validates a client-supplied name used as a path component: short,
@@ -179,10 +176,9 @@ impl SessionStore {
             std::fs::create_dir_all(root.join(sub)).map_err(|e| ServeError::Io(e.to_string()))?;
         }
         Ok(SessionStore {
+            engine: Engine::new(Some(root.join("cache"))),
             root,
-            quarantine_seq: std::sync::atomic::AtomicU64::new(0),
             journal: Mutex::new(()),
-            socs: SocCache::new(SocCache::DEFAULT_LIMITS),
         })
     }
 
@@ -200,19 +196,18 @@ impl SessionStore {
         self.root.join("sessions").join(name)
     }
 
-    /// Moves `path` into `quarantine/`, uniquified, best-effort. Returns
-    /// the quarantined file's display name when the move happened.
+    /// Moves `path` into `quarantine/` under the first free `NNNN-<name>`,
+    /// so no earlier run's evidence is replaced; best-effort. Returns the
+    /// quarantined file's display name when the move happened (never for
+    /// a missing file).
     fn quarantine(&self, path: &Path) -> Option<String> {
-        let seq = self
-            .quarantine_seq
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         let base = path.file_name()?.to_string_lossy().into_owned();
-        let target = self
-            .root
-            .join("quarantine")
-            .join(format!("{seq:04}-{base}"));
-        if std::fs::rename(path, &target).is_ok() {
-            Some(format!("{seq:04}-{base}"))
+        let dir = self.root.join("quarantine");
+        let name = (0u32..)
+            .map(|seq| format!("{seq:04}-{base}"))
+            .find(|name| !dir.join(name).exists())?;
+        if std::fs::rename(path, dir.join(&name)).is_ok() {
+            Some(name)
         } else {
             let _ = std::fs::remove_file(path);
             None
@@ -288,47 +283,53 @@ impl SessionStore {
         (meta.name == name).then_some(meta)
     }
 
-    /// The session's SOC with cubes attached, from the store's SOC cache,
-    /// and the care density it reads ([`SocContent::density`]: the
-    /// session's density for an ITC'02 upload, none for a benchmark).
-    /// `design.itc02` is re-read on every call and the cache keys by its
-    /// content, so an edited design is rebuilt, or fails here.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::NotFound`] for missing designs,
-    /// [`ServeError::BadRequest`] for corrupt design files or descriptors
-    /// (caller quarantines).
-    pub fn load_soc(&self, meta: &SessionMeta) -> Result<(Arc<Soc>, Option<f64>), ServeError> {
-        let content = match (&meta.kind[..], &meta.benchmark) {
-            ("benchmark", Some(bench)) => SocSource::Builtin(bench.clone())
-                .read()
-                .map_err(ServeError::NotFound)?,
+    /// The session's SOC source: its benchmark, or its uploaded
+    /// `design.itc02`, which the engine re-reads on every plan and keys by
+    /// content, so an edited design is rebuilt, or fails.
+    fn source(&self, meta: &SessionMeta) -> Result<SocSource, ServeError> {
+        match (&meta.kind[..], &meta.benchmark) {
+            ("benchmark", Some(bench)) => SocSource::builtin(bench).map_err(ServeError::NotFound),
             ("itc02", _) => {
                 let path = self.session_dir(&meta.name).join("design.itc02");
-                SocContent::Itc02(
-                    std::fs::read_to_string(&path)
-                        .map_err(|_| ServeError::NotFound(format!("design for `{}`", meta.name)))?,
-                )
+                Ok(SocSource::Itc02File(path.to_string_lossy().into_owned()))
             }
-            _ => {
-                return Err(ServeError::BadRequest(format!(
-                    "session `{}` has a malformed descriptor",
-                    meta.name
-                )))
-            }
+            _ => Err(ServeError::BadRequest(format!(
+                "session `{}` has a malformed descriptor",
+                meta.name
+            ))),
+        }
+    }
+
+    /// Plans the session's SOC in `mode` at TAM width `width` through the
+    /// store's engine, under the caller's `control`; a failure reads as the
+    /// `plan-failed` event reports it.
+    pub(crate) fn plan(
+        &self,
+        meta: &SessionMeta,
+        mode: &str,
+        width: u32,
+        control: PlanControl,
+    ) -> Result<(Plan, PlanStats), String> {
+        let job = Job {
+            source: self.source(meta).map_err(|e| e.to_string())?,
+            seed: meta.seed,
+            density: meta.density,
+            mode: mode.to_string(),
+            request: PlanRequest::tam_width(width),
         };
-        let density = content.density(meta.density);
-        let soc = self
-            .socs
-            .get(content, meta.seed, meta.density)
-            .map_err(ServeError::BadRequest)?;
-        Ok((soc, density))
+        self.engine.plan(&job, control).map_err(|e| match e {
+            JobError::Read(_) => {
+                ServeError::NotFound(format!("design for `{}`", meta.name)).to_string()
+            }
+            JobError::Build(m) => ServeError::BadRequest(m).to_string(),
+            JobError::Plan(e) => format!("plan: {e}"),
+            e => e.to_string(),
+        })
     }
 
     /// Hit, miss and eviction counters of the store's SOC cache.
     pub fn soc_stats(&self) -> CacheStats {
-        self.socs.stats()
+        self.engine.soc_stats()
     }
 
     /// Lists the names of sessions with a readable, valid descriptor.
@@ -479,23 +480,17 @@ impl SessionStore {
         for (name, dir) in sessions {
             // Descriptor first; without it nothing else is trustworthy.
             let Some(meta) = self.load_meta(&name) else {
-                let meta_path = dir.join("meta.json");
-                if meta_path.exists() {
-                    if let Some(q) = self.quarantine(&meta_path) {
-                        recovery.quarantined.push(q);
-                    }
-                }
+                let quarantined = self.quarantine(&dir.join("meta.json"));
+                recovery.quarantined.extend(quarantined);
                 continue;
             };
-            // The design must actually load (catches corrupt uploads); a
+            // The design must actually build (catches corrupt uploads); a
             // good one stays cached for the session's first plan.
-            if self.load_soc(&meta).is_err() {
-                let design = dir.join("design.itc02");
-                if design.exists() {
-                    if let Some(q) = self.quarantine(&design) {
-                        recovery.quarantined.push(q);
-                    }
-                }
+            let source = self.source(&meta).ok();
+            let built = source.and_then(|s| self.engine.soc(&s, meta.seed, meta.density).ok());
+            if built.is_none() {
+                let quarantined = self.quarantine(&dir.join("design.itc02"));
+                recovery.quarantined.extend(quarantined);
                 continue;
             }
             // Completed plans must still parse.
@@ -506,9 +501,7 @@ impl SessionStore {
                     .and_then(|text| tdcsoc::parse_plan(&text).ok())
                     .is_some();
                 if !ok {
-                    if let Some(q) = self.quarantine(&path) {
-                        recovery.quarantined.push(q);
-                    }
+                    recovery.quarantined.extend(self.quarantine(&path));
                 }
             }
             // Journaled requests come back for re-execution.
@@ -528,11 +521,7 @@ impl SessionStore {
                             request: stem.to_string(),
                             body,
                         }),
-                        None => {
-                            if let Some(q) = self.quarantine(&entry.path()) {
-                                recovery.quarantined.push(q);
-                            }
-                        }
+                        None => recovery.quarantined.extend(self.quarantine(&entry.path())),
                     }
                 }
             }
@@ -563,9 +552,10 @@ mod tests {
             .unwrap();
         assert_eq!(store.load_meta("s1"), Some(meta.clone()));
         assert_eq!(store.session_names(), vec!["s1".to_string()]);
-        let (soc, density) = store.load_soc(&meta).unwrap();
-        assert_eq!(soc.name(), "d695");
-        assert_eq!(density, None, "a benchmark reads no density");
+        assert_eq!(
+            store.source(&meta).unwrap(),
+            SocSource::Builtin("d695".into())
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -626,6 +616,58 @@ mod tests {
         assert!(rec.sessions.is_empty());
         assert_eq!(rec.quarantined.len(), 1);
         assert!(root.join("quarantine").read_dir().unwrap().count() == 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn recovery_builds_the_soc_the_first_plan_hits() {
+        let root = tmp_root("recover-soc");
+        let bench = DesignSource::Benchmark("d695".into());
+        let first = SessionStore::open(&root).unwrap();
+        first.create_session("s", &bench, 1, 0.5).unwrap();
+        let d695 = soc_model::benchmarks::Design::D695.build();
+        let upload = DesignSource::Itc02(soc_model::itc02::write_itc02(&d695));
+        let meta_u = first.create_session("u", &upload, 1, 0.5).unwrap();
+        let store = SessionStore::open(&root).unwrap();
+        assert_eq!(store.recover().sessions, ["s", "u"]);
+        let meta = store.load_meta("s").unwrap();
+        let plan =
+            |meta: &SessionMeta, mode: &str| store.plan(meta, mode, 16, PlanControl::default());
+        plan(&meta, "no-tdc").unwrap();
+        let socs = store.soc_stats();
+        assert_eq!((socs.misses, socs.hits), (2, 1), "recovery built both");
+        // Failures read as the `plan-failed` event reports them.
+        assert_eq!(plan(&meta, "warp").unwrap_err(), "unknown mode `warp`");
+        let design = root.join("sessions/u/design.itc02");
+        std::fs::write(&design, "not itc02").unwrap();
+        assert!(plan(&meta_u, "no-tdc")
+            .unwrap_err()
+            .starts_with("bad request: itc02:"));
+        std::fs::remove_file(&design).unwrap();
+        assert_eq!(
+            plan(&meta_u, "no-tdc").unwrap_err(),
+            "not found: design for `u`"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn quarantine_keeps_every_run_s_evidence() {
+        let root = tmp_root("requarantine");
+        for corrupt in ["{first", "{second"] {
+            let store = SessionStore::open(&root).unwrap();
+            store
+                .create_session("s", &DesignSource::Benchmark("d695".into()), 1, 0.5)
+                .unwrap();
+            std::fs::write(root.join("sessions/s/meta.json"), corrupt).unwrap();
+            assert_eq!(store.recover().quarantined.len(), 1);
+        }
+        let mut kept: Vec<String> = std::fs::read_dir(root.join("quarantine"))
+            .unwrap()
+            .map(|entry| std::fs::read_to_string(entry.unwrap().path()).unwrap())
+            .collect();
+        kept.sort();
+        assert_eq!(kept, ["{first", "{second"]);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -38,6 +38,7 @@
 mod ate;
 mod cascade;
 mod decisions;
+mod engine;
 mod planfile;
 mod planner;
 mod response;
@@ -48,12 +49,13 @@ mod vectors;
 pub use ate::{AteFit, AteSpec};
 pub use cascade::{PlanControl, PlanOutcome, ProfileCacheConfig, SolverStage};
 pub use decisions::{CompressionMode, Decision, DecisionConfig, DecisionTable, Technique};
+pub use engine::{Engine, Job, JobError, ProfileKey};
 pub use planfile::{parse_plan, write_plan, ParsePlanError};
 pub use planner::{
     profile_cache_entries, quarantined_profiles, Budget, CoreSetting, Plan, PlanError, PlanRequest,
     PlanStats, Planner,
 };
 pub use response::{plan_response_compaction, CompactorSetting, ResponsePlan};
-pub use source::{planner_for, profile_tag, SocCache, SocContent, SocSource};
+pub use source::{planner_for, SocContent, SocSource};
 pub use truncate::{truncate_to_fit, TruncateError, Truncation};
 pub use vectors::{export_image, verify_image, ImageError, TamImage, TesterImage};

@@ -604,6 +604,21 @@ pub struct PlanStats {
 }
 
 impl PlanStats {
+    /// The profile-cache line every surface prints: `profile cache: H hits,
+    /// P partial, M misses, E evictions (R widths reused, C computed)`.
+    pub fn profile_cache_line(&self) -> String {
+        format!(
+            "profile cache: {} hits, {} partial, {} misses, {} evictions \
+             ({} widths reused, {} computed)",
+            self.profile_hits,
+            self.profile_partial_hits,
+            self.profile_misses,
+            self.profile_evictions,
+            self.widths_reused,
+            self.widths_computed
+        )
+    }
+
     /// Adds another run's counters into this one, for rolling per-design
     /// stats up into a fleet-wide total.
     pub fn absorb(&mut self, other: &PlanStats) {

@@ -1,16 +1,16 @@
 //! The SOC a plan runs on, for the CLI, serve and fleet alike: where it
-//! comes from, how it is built, the [`SocCache`] that shares built SOCs,
-//! the planner mode keywords and the profile-cache tag.
+//! comes from, how it is built, the [`SocCache`] that shares built SOCs
+//! and the planner mode keywords.
 //!
 //! A built SOC is a pure function of its content (the builtin design or
 //! the design file's full text), the cube-synthesis seed and, for ITC'02
 //! text only, the care density. The cache keys by exactly these, never by
 //! a path or a session name, so a hit equals a rebuild and a changed file
-//! is a new key rather than a stale hit. Which contents read the density is
-//! one rule, [`SocContent::density`]; every key that names an SOC follows
-//! it.
+//! is a new key rather than a stale hit. Which sources read the density is
+//! one rule, [`read_density`]; every key that names an SOC follows it.
 
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use parpool::dsan;
 use robust::{BoundedCache, CacheLimits, CacheStats};
@@ -55,9 +55,8 @@ impl SocSource {
         self.read()?.build(seed, density)
     }
 
-    /// [`SocContent::density`] of the content this source reads, without
-    /// reading it.
-    pub fn density(&self, density: f64) -> Option<f64> {
+    /// The care density the source's SOC reads ([`read_density`]).
+    pub(crate) fn density(&self, density: f64) -> Option<f64> {
         read_density(matches!(self, SocSource::Itc02File(_)), density)
     }
 }
@@ -81,15 +80,6 @@ pub enum SocContent {
 }
 
 impl SocContent {
-    /// The care density as the built SOC depends on it: `Some(density)` for
-    /// ITC'02 text, `None` for builtin designs and simple-format text. The
-    /// [`SocCache`] key, [`profile_tag`] and fleet's profile key take this
-    /// value, so the CLI, fleet and serve share one SOC and one set of
-    /// profiles whatever density each passes by default.
-    pub fn density(&self, density: f64) -> Option<f64> {
-        read_density(matches!(self, SocContent::Itc02(_)), density)
-    }
-
     /// The SOC without test sets; `density` is the ITC'02 care density.
     pub fn parse(&self, density: f64) -> Result<Soc, String> {
         match self {
@@ -110,9 +100,12 @@ impl SocContent {
     }
 }
 
-/// The density rule: only ITC'02 parsing reads the care density. Builtin
-/// designs and simple-format files carry a density per core, so for them
-/// every density builds the same SOC.
+/// The density rule: only ITC'02 parsing reads the care density, so the
+/// care density the SOC depends on is `Some(density)` for ITC'02 and `None`
+/// for builtin designs and simple-format files, which carry a density per
+/// core. The [`SocCache`] key and the engine's job keys and profile-cache
+/// tag take this value, so the CLI, fleet and serve share one SOC and one
+/// set of profiles whatever density each passes by default.
 fn read_density(itc02: bool, density: f64) -> Option<f64> {
     itc02.then_some(density)
 }
@@ -121,48 +114,96 @@ fn read_density(itc02: bool, density: f64) -> Option<f64> {
 /// `Ord`).
 type SocKey = (SocContent, u64, Option<u64>);
 
-/// A bounded LRU of built SOCs, weighted by their stimulus bytes. Shared
-/// by threads and pool jobs; racing callers at worst build one SOC twice.
+/// A bounded LRU of built SOCs, weighted by their stimulus bytes and
+/// shared by threads and pool jobs. A key builds once at a time: a caller
+/// that misses while another caller builds the same key waits for that
+/// build and counts a hit, while other keys build alongside. A failed or
+/// panicking build leaves its key uncached, and the next caller builds it.
 #[derive(Debug)]
-pub struct SocCache {
+pub(crate) struct SocCache {
     socs: dsan::Cell<BoundedCache<SocKey, Arc<Soc>>>,
+    /// Keys whose build is under way.
+    building: Mutex<BTreeSet<SocKey>>,
+    /// Signalled whenever a build ends.
+    built: Condvar,
 }
 
 impl SocCache {
-    /// Default bounds: 32 SOCs or 256 MiB of stimulus.
-    pub const DEFAULT_LIMITS: CacheLimits = CacheLimits::new(32, 256 << 20);
-
-    /// An empty cache within `limits`.
-    pub fn new(limits: CacheLimits) -> Self {
-        // Advisory: the races are by design, and a hit equals a rebuild.
+    /// An empty cache of at most 32 SOCs or 256 MiB of stimulus.
+    pub(crate) fn new() -> Self {
+        // Advisory: pool jobs share the cache unordered, and a hit equals
+        // a rebuild.
         let socs = dsan::Cell::new(
             "soc-cache",
             dsan::Policy::Advisory,
-            BoundedCache::new(limits),
+            BoundedCache::new(CacheLimits::new(32, 256 << 20)),
         );
-        SocCache { socs }
+        SocCache {
+            socs,
+            building: Mutex::new(BTreeSet::new()),
+            built: Condvar::new(),
+        }
     }
 
     /// The SOC built from `content` and `seed`, from the cache or built
     /// and cached; a failed build is not cached.
-    pub fn get(&self, content: SocContent, seed: u64, density: f64) -> Result<Arc<Soc>, String> {
-        let bits = content.density(density).map(f64::to_bits);
+    pub(crate) fn get(
+        &self,
+        content: SocContent,
+        seed: u64,
+        density: f64,
+    ) -> Result<Arc<Soc>, String> {
+        let itc02 = matches!(content, SocContent::Itc02(_));
+        let bits = read_density(itc02, density).map(f64::to_bits);
         let key: SocKey = (content, seed, bits);
+        // Looked up under the latch, so a key is either cached or still
+        // building, never lost between the two.
+        let mut building = self.building.lock().unwrap_or_else(PoisonError::into_inner);
+        while building.contains(&key) {
+            building = self
+                .built
+                .wait(building)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
         if let Some(soc) = self.socs.write(|cache| cache.get(&key).map(Arc::clone)) {
             return Ok(soc);
         }
+        building.insert(key.clone());
+        drop(building);
+        let _latch = Latch {
+            cache: self,
+            key: &key,
+        };
         let soc = Arc::new(key.0.build(seed, density)?);
         let weight = usize::try_from(soc.initial_volume_bits() / 8)
             .unwrap_or(usize::MAX)
             .saturating_add(4096);
         self.socs
-            .write(|cache| cache.insert(key, Arc::clone(&soc), weight));
+            .write(|cache| cache.insert(key.clone(), Arc::clone(&soc), weight));
         Ok(soc)
     }
 
     /// Hit, miss and eviction counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.socs.read(BoundedCache::stats)
+    }
+}
+
+/// Ends a key's build however it ends (cached, failed or unwinding) and
+/// wakes the callers waiting for it.
+struct Latch<'a> {
+    cache: &'a SocCache,
+    key: &'a SocKey,
+}
+
+impl Drop for Latch<'_> {
+    fn drop(&mut self) {
+        self.cache
+            .building
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(self.key);
+        self.cache.built.notify_all();
     }
 }
 
@@ -188,24 +229,13 @@ pub fn planner_for(mode: &str) -> Option<Planner> {
         .map(|(_, planner)| planner())
 }
 
-/// The profile-cache tag of an SOC's test sets (the planner adds width
-/// and fidelity to each file name), shared by every surface. `density` is
-/// the density the SOC reads ([`SocContent::density`]); it is part of the
-/// tag only when there is one.
-pub fn profile_tag(soc: &Soc, seed: u64, density: Option<f64>) -> String {
-    match density {
-        Some(d) => format!("{}-seed{seed}-d{d:.3}", soc.name()),
-        None => format!("{}-seed{seed}", soc.name()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn a_hit_equals_a_rebuild() {
-        let cache = SocCache::new(SocCache::DEFAULT_LIMITS);
+        let cache = SocCache::new();
         let d695 = || SocSource::builtin("D695").unwrap().read().unwrap();
         let first = cache.get(d695(), 3, 0.5).unwrap();
         let again = cache.get(d695(), 3, 0.5).unwrap();
@@ -225,7 +255,7 @@ mod tests {
             std::fs::write(&path, soc_model::format::write_soc(&d.build())).unwrap();
         };
         let source = SocSource::SimpleFile(path.to_string_lossy().into_owned());
-        let cache = SocCache::new(SocCache::DEFAULT_LIMITS);
+        let cache = SocCache::new();
         write(Design::D695);
         let d695 = cache.get(source.read().unwrap(), 1, 0.5).unwrap();
         assert_eq!(d695.name(), "d695");
@@ -242,32 +272,80 @@ mod tests {
     }
 
     #[test]
-    fn mode_keywords_and_tags() {
+    fn mode_keywords_and_the_density_rule() {
         for (keyword, _) in MODES {
             assert!(planner_for(keyword).is_some(), "{keyword}");
         }
         assert_eq!(planner_for("fixed4"), Some(Planner::fixed_width_tdc(4)));
         assert!(planner_for("warp").is_none());
-        let soc = Design::D695.build();
-        // A builtin design reads no density, so its tag names none.
-        let builtin = SocSource::builtin("d695").unwrap();
-        assert_eq!(builtin.density(0.66), None);
-        assert_eq!(
-            profile_tag(&soc, 2008, builtin.density(0.66)),
-            "d695-seed2008"
-        );
+        assert_eq!(SocSource::builtin("d695").unwrap().density(0.66), None);
         let itc02 = SocSource::Itc02File("d695.soc".into());
-        assert_eq!(
-            profile_tag(&soc, 2008, itc02.density(0.66)),
-            "d695-seed2008-d0.660"
-        );
+        assert_eq!(itc02.density(0.66), Some(0.66));
         assert_eq!(SocSource::SimpleFile("x.soc".into()).density(0.5), None);
         assert!(SocSource::builtin("nope").is_err());
     }
 
+    /// Runs `get` from `THREADS` threads released together.
+    fn race<T: Send>(get: impl Fn() -> T + Sync) -> Vec<T> {
+        const THREADS: usize = 8;
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        get()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    #[test]
+    fn racing_misses_on_one_key_build_once() {
+        let cache = SocCache::new();
+        let socs = race(|| {
+            cache
+                .get(SocContent::Builtin(Design::D695), 1, 0.5)
+                .unwrap()
+        });
+        assert!(socs.iter().all(|soc| Arc::ptr_eq(soc, &socs[0])));
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 7), "waiters count as hits");
+        // Other keys build alongside: two seeds, two builds.
+        let seeds = std::sync::atomic::AtomicU64::new(0);
+        race(|| {
+            let seed = 10 + seeds.fetch_add(1, std::sync::atomic::Ordering::SeqCst) % 2;
+            cache.get(SocContent::Builtin(Design::D695), seed, 0.5)
+        });
+        assert_eq!(cache.stats().misses, 3);
+    }
+
+    #[test]
+    fn failed_and_panicking_builds_release_their_key() {
+        let cache = SocCache::new();
+        let bad = || SocContent::Simple("not a design".into());
+        assert!(race(|| cache.get(bad(), 1, 0.5)).iter().all(Result::is_err));
+        assert_eq!(cache.stats().hits, 0, "a failed build is not cached");
+        // A build that unwinds releases its key like one that returns.
+        let key: SocKey = (SocContent::Builtin(Design::D695), 1, None);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.building.lock().unwrap().insert(key.clone());
+            let _latch = Latch {
+                cache: &cache,
+                key: &key,
+            };
+            panic!("build panicked");
+        }));
+        assert!(unwound.is_err());
+        assert!(cache.building.lock().unwrap().is_empty());
+        assert!(cache.get(key.0.clone(), 1, 0.5).is_ok());
+    }
+
     #[test]
     fn only_itc02_content_keys_its_density() {
-        let cache = SocCache::new(SocCache::DEFAULT_LIMITS);
+        let cache = SocCache::new();
         let d695 = || SocContent::Builtin(Design::D695);
         let first = cache.get(d695(), 1, 0.66).unwrap();
         let again = cache.get(d695(), 1, 0.02).unwrap();

@@ -9,8 +9,8 @@ use std::fmt;
 use crate::model::benchmarks::Design;
 use crate::model::itc02::write_itc02;
 use crate::planner::{
-    export_image, parse_plan, planner_for, profile_tag, verify_image, write_plan, Budget,
-    DecisionConfig, PlanControl, PlanRequest, Planner, SocSource,
+    export_image, parse_plan, planner_for, verify_image, write_plan, Budget, DecisionConfig,
+    Engine, Job, JobError, PlanControl, PlanRequest, SocSource,
 };
 use crate::selenc::{generate_verilog, CoreProfile, ProfileConfig, SliceCode, SliceStats};
 use crate::tam::{render_gantt, ArchitectureOptions, CostModel};
@@ -83,18 +83,9 @@ pub struct ServeArgs {
 /// Arguments of `soctdc plan`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanArgs {
-    /// SOC source.
-    pub source: SocSource,
-    /// Wire budget.
-    pub budget: Budget,
-    /// Compression mode keyword.
-    pub mode: String,
-    /// Cube-synthesis seed.
-    pub seed: u64,
-    /// Evaluation fidelity.
-    pub decisions: DecisionConfig,
-    /// Care density for ITC'02 inputs (the format carries none).
-    pub density: f64,
+    /// What to plan: SOC source, seed, ITC'02 care density, mode keyword,
+    /// wire budget and evaluation fidelity.
+    pub job: Job,
     /// Render an ASCII Gantt chart.
     pub gantt: bool,
     /// Write the plan file here.
@@ -171,20 +162,10 @@ pub struct VerifyArgs {
 /// Arguments of `soctdc truncate`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TruncateArgs {
-    /// SOC source.
-    pub source: SocSource,
-    /// Wire budget.
-    pub budget: Budget,
-    /// Compression mode keyword.
-    pub mode: String,
+    /// What to fit, as [`PlanArgs::job`].
+    pub job: Job,
     /// Tester vector-memory depth.
     pub depth: u64,
-    /// Cube-synthesis seed.
-    pub seed: u64,
-    /// Evaluation fidelity.
-    pub decisions: DecisionConfig,
-    /// Care density for ITC'02 inputs.
-    pub density: f64,
 }
 
 /// Arguments of `soctdc info`.
@@ -386,26 +367,35 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     };
     let need_source =
         |source: Option<SocSource>| source.ok_or_else(|| usage("an SOC source is required"));
+    // What `plan` and `truncate` plan; `--ate` wins over `--width`.
+    let budget = match (width, ate) {
+        (_, Some(a)) => Budget::AteChannels(a),
+        (w, None) => Budget::TamWidth(w.unwrap_or(32)),
+    };
+    let job = |source| -> Result<Job, CliError> {
+        Ok(Job {
+            source: need_source(source)?,
+            seed,
+            density,
+            mode,
+            request: PlanRequest {
+                budget,
+                decisions,
+                architecture: ArchitectureOptions::default(),
+            },
+        })
+    };
 
     match cmd.as_str() {
         "plan" => {
             if width.is_some() && ate.is_some() {
                 return Err(usage("--width and --ate are mutually exclusive"));
             }
-            let budget = match (width, ate) {
-                (_, Some(a)) => Budget::AteChannels(a),
-                (w, None) => Budget::TamWidth(w.unwrap_or(32)),
-            };
             if resume_flag {
                 return Err(usage("plan --resume needs a checkpoint FILE"));
             }
             Ok(Command::Plan(PlanArgs {
-                source: need_source(source)?,
-                budget,
-                mode,
-                seed,
-                decisions,
-                density,
+                job: job(source)?,
                 gantt,
                 plan_out,
                 deadline_ms,
@@ -445,21 +435,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             seed,
             density,
         })),
-        "truncate" => {
-            let budget = match (width, ate) {
-                (_, Some(a)) => Budget::AteChannels(a),
-                (w, None) => Budget::TamWidth(w.unwrap_or(32)),
-            };
-            Ok(Command::Truncate(TruncateArgs {
-                source: need_source(source)?,
-                budget,
-                mode,
-                depth: depth.ok_or_else(|| usage("truncate needs --depth N"))?,
-                seed,
-                decisions,
-                density,
-            }))
-        }
+        "truncate" => Ok(Command::Truncate(TruncateArgs {
+            job: job(source)?,
+            depth: depth.ok_or_else(|| usage("truncate needs --depth N"))?,
+        })),
         "serve" => Ok(Command::Serve(ServeArgs {
             root: root.ok_or_else(|| usage("serve needs --root DIR"))?,
             http,
@@ -500,20 +479,6 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, CliError> {
         .map_err(|_| CliError::Usage(format!("{flag}: invalid number `{s}`")))
 }
 
-/// The planner for a `--mode` keyword.
-fn planner(mode: &str) -> Result<Planner, CliError> {
-    planner_for(mode).ok_or_else(|| CliError::Usage(format!("unknown mode `{mode}`")))
-}
-
-/// Resolves a `--workers` value: `0` means one per available CPU.
-fn resolve_workers(n: usize) -> usize {
-    if n == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        n
-    }
-}
-
 /// Executes a parsed command, writing human-readable output to `out`.
 ///
 /// # Errors
@@ -524,17 +489,14 @@ pub fn run(command: &Command, out: &mut dyn std::io::Write) -> Result<(), CliErr
     match command {
         Command::Help => writeln!(out, "{USAGE}").map_err(io_err),
         Command::Serve(args) => {
-            let mut config = serve::ServeConfig::new(&args.root);
-            config.http = args.http.clone();
-            if let Some(w) = args.workers {
-                config.workers = resolve_workers(w);
-            }
-            if let Some(cap) = args.queue_cap {
-                config.queue_cap = cap;
-            }
-            if let Some(ms) = args.default_budget_ms {
-                config.default_budget_ms = ms;
-            }
+            let defaults = serve::ServeConfig::new(&args.root);
+            let config = serve::ServeConfig {
+                http: args.http.clone(),
+                workers: args.workers.unwrap_or(defaults.workers),
+                queue_cap: args.queue_cap.unwrap_or(defaults.queue_cap),
+                default_budget_ms: args.default_budget_ms.unwrap_or(defaults.default_budget_ms),
+                ..defaults
+            };
             // The daemon owns the process stdio (NDJSON protocol); `out`
             // is not used so the wire format stays line-exact.
             match serve::run(&config) {
@@ -684,19 +646,16 @@ pub fn run(command: &Command, out: &mut dyn std::io::Write) -> Result<(), CliErr
             write!(out, "{text}").map_err(io_err)
         }
         Command::Truncate(args) => {
-            let soc = args.source.build(args.seed, args.density)?;
-            let planner = planner(&args.mode)?;
-            let request = PlanRequest {
-                budget: args.budget,
-                decisions: args.decisions.clone(),
-                architecture: Default::default(),
-            };
+            let job = &args.job;
+            let soc = job.source.build(job.seed, job.density)?;
+            let planner = planner_for(&job.mode)
+                .ok_or_else(|| CliError::Usage(format!("unknown mode `{}`", job.mode)))?;
             let spec = crate::planner::AteSpec {
-                channels: args.budget.width(),
+                channels: job.request.budget.width(),
                 memory_depth: args.depth,
                 clock_hz: 50_000_000,
             };
-            let t = crate::planner::truncate_to_fit(&soc, &planner, &request, &spec)
+            let t = crate::planner::truncate_to_fit(&soc, &planner, &job.request, &spec)
                 .map_err(|e| CliError::Run(Box::new(e)))?;
             write!(out, "{t}").map_err(io_err)?;
             writeln!(
@@ -787,16 +746,8 @@ pub fn run(command: &Command, out: &mut dyn std::io::Write) -> Result<(), CliErr
             write!(out, "{profile}").map_err(io_err)
         }
         Command::Plan(args) => {
-            let soc = args.source.build(args.seed, args.density)?;
-            let planner = planner(&args.mode)?;
-            let request = PlanRequest {
-                budget: args.budget,
-                decisions: args.decisions.clone(),
-                architecture: ArchitectureOptions {
-                    workers: args.workers.map(resolve_workers),
-                    ..Default::default()
-                },
-            };
+            let mut job = args.job.clone();
+            job.request.architecture.workers = args.workers.map(Engine::workers);
             let mut control = match args.deadline_ms {
                 Some(ms) => PlanControl::with_deadline(std::time::Duration::from_millis(ms)),
                 None => PlanControl::default(),
@@ -804,19 +755,17 @@ pub fn run(command: &Command, out: &mut dyn std::io::Write) -> Result<(), CliErr
             if let Some(path) = &args.checkpoint {
                 control = control.checkpoint_to(path);
             }
-            if let Some(dir) = &args.profile_cache {
-                let density = args.source.density(args.density);
-                control = control.cache_profiles_in(dir, profile_tag(&soc, args.seed, density));
-            }
             if let Some(path) = &args.resume {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| CliError::Run(format!("cannot read {path}: {e}").into()))?;
                 let prev = parse_plan(&text).map_err(|e| CliError::Run(Box::new(e)))?;
                 control = control.resume_from(prev);
             }
-            let (plan, stats) = planner
-                .plan_with_stats(&soc, &request, &control)
-                .map_err(|e| CliError::Run(Box::new(e)))?;
+            let engine = Engine::new(args.profile_cache.clone().map(Into::into));
+            let (plan, stats) = engine.plan(&job, control).map_err(|e| match e {
+                JobError::UnknownMode(_) => CliError::Usage(e.to_string()),
+                e => CliError::Run(Box::new(e)),
+            })?;
             write!(out, "{plan}").map_err(io_err)?;
             if !plan.outcome.is_complete() {
                 writeln!(out, "search {}: best incumbent shown", plan.outcome).map_err(io_err)?;
@@ -830,16 +779,7 @@ pub fn run(command: &Command, out: &mut dyn std::io::Write) -> Result<(), CliErr
                 .map_err(io_err)?;
             }
             if args.profile_cache.is_some() {
-                writeln!(
-                    out,
-                    "profile cache: {} hits, {} partial, {} misses ({} widths reused, {} computed)",
-                    stats.profile_hits,
-                    stats.profile_partial_hits,
-                    stats.profile_misses,
-                    stats.widths_reused,
-                    stats.widths_computed
-                )
-                .map_err(io_err)?;
+                writeln!(out, "{}", stats.profile_cache_line()).map_err(io_err)?;
             }
             if let Some(path) = &args.plan_out {
                 std::fs::write(path, write_plan(&plan))
@@ -872,6 +812,7 @@ pub fn run(command: &Command, out: &mut dyn std::io::Write) -> Result<(), CliErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::Planner;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -882,9 +823,9 @@ mod tests {
         let cmd = parse_args(&argv("plan --design d695")).unwrap();
         match cmd {
             Command::Plan(a) => {
-                assert_eq!(a.budget, Budget::TamWidth(32));
-                assert_eq!(a.mode, "per-core");
-                assert_eq!(a.seed, 2008);
+                assert_eq!(a.job.request.budget, Budget::TamWidth(32));
+                assert_eq!(a.job.mode, "per-core");
+                assert_eq!(a.job.seed, 2008);
                 assert!(!a.gantt);
             }
             other => panic!("unexpected {other:?}"),
@@ -899,10 +840,10 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Plan(a) => {
-                assert_eq!(a.budget, Budget::AteChannels(16));
-                assert_eq!(a.mode, "no-tdc");
+                assert_eq!(a.job.request.budget, Budget::AteChannels(16));
+                assert_eq!(a.job.mode, "no-tdc");
                 assert!(a.gantt);
-                assert_eq!(a.decisions, DecisionConfig::exact());
+                assert_eq!(a.job.request.decisions, DecisionConfig::exact());
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -956,8 +897,9 @@ mod tests {
 
     #[test]
     fn workers_zero_resolves_to_detected_parallelism() {
-        assert!(resolve_workers(0) >= 1);
-        assert_eq!(resolve_workers(3), 3);
+        // `--workers 0` on plan, serve and fleet goes through this rule.
+        assert!(Engine::workers(0) >= 1);
+        assert_eq!(Engine::workers(3), 3);
     }
 
     #[test]
@@ -1355,6 +1297,17 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("no-TDC"));
         assert!(text.contains("TAM 0"));
+        // An unknown mode is a usage error, an unreadable source a run error.
+        let warp = parse_args(&argv("plan --design d695 --mode warp")).unwrap();
+        assert!(matches!(
+            run(&warp, &mut Vec::new()),
+            Err(CliError::Usage(m)) if m == "unknown mode `warp`"
+        ));
+        let missing = parse_args(&argv("plan --itc02 /nonexistent/x.soc")).unwrap();
+        assert!(matches!(
+            run(&missing, &mut Vec::new()),
+            Err(CliError::Run(e)) if e.to_string().starts_with("cannot read /nonexistent/x.soc")
+        ));
     }
 
     #[test]
@@ -1551,7 +1504,7 @@ mod truncate_info_tests {
             )))
             .unwrap();
             match cmd {
-                Command::Plan(a) => assert_eq!(a.mode, mode),
+                Command::Plan(a) => assert_eq!(a.job.mode, mode),
                 other => panic!("unexpected {other:?}"),
             }
         }

@@ -1,8 +1,9 @@
-//! The shared SOC cache (`tdcsoc::SocCache`) is invisible in plans: a
-//! `serve` miss, a `serve` hit, `soctdc plan` and a fleet manifest plan
-//! one request to the same bytes, and a session whose design changes under
-//! the same name is planned from its new content — a cache keyed by
-//! session name or file path would serve the stale SOC and fail here.
+//! The planning engine's shared caches (`tdcsoc::Engine`) are invisible in
+//! plans: a `serve` miss, a `serve` hit, `soctdc plan` and a fleet manifest
+//! plan one request to the same bytes, one profile cache serves all three,
+//! and a session whose design changes under the same name is planned from
+//! its new content — a cache keyed by session name or file path would
+//! serve the stale SOC and fail here.
 //!
 //! Every surface runs as a real `soctdc` subprocess.
 
@@ -175,14 +176,15 @@ fn d695_and_half() -> (Soc, Soc) {
     (d695, half)
 }
 
-/// Runs `soctdc` with whitespace-separated `args`, which must succeed.
-fn run_soctdc(args: &str) {
-    let status = Command::new(soctdc())
+/// Runs `soctdc` with whitespace-separated `args`, which must succeed,
+/// and returns its standard output.
+fn run_soctdc(args: &str) -> String {
+    let output = Command::new(soctdc())
         .args(args.split_whitespace())
-        .stdout(Stdio::null())
-        .status()
+        .output()
         .expect("run soctdc");
-    assert!(status.success(), "soctdc {args} failed");
+    assert!(output.status.success(), "soctdc {args} failed");
+    String::from_utf8(output.stdout).expect("utf-8 output")
 }
 
 /// d695, seed 1, per-core, W=24 — through a serve miss, a serve hit,
@@ -220,6 +222,50 @@ fn one_request_plans_identically_on_every_surface() {
         let fleet = std::fs::read_to_string(plan_dir.join("d695-w24-seed1.plan")).unwrap();
         assert_eq!(fleet, miss, "fleet at workers {workers}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A serve session's per-core W=24 plan of d695 fills `<root>/cache`;
+/// `soctdc plan` and a fleet run pointed at that directory find all ten
+/// core profiles there and plan serve's bytes.
+#[test]
+fn one_profile_cache_serves_every_surface() {
+    let dir = tmp_dir("profiles");
+    let root = dir.join("serve");
+    let mut daemon = Daemon::start(&root);
+    daemon.open("s", &benchmark("d695"), 1);
+    let served = daemon.plan_text("s", 24);
+    daemon.shutdown();
+    let cache = root.join("cache");
+
+    let plan_out = dir.join("cli.plan");
+    let cli = run_soctdc(&format!(
+        "plan --design d695 --seed 1 --width 24 --sample 24 --mcand 24 \
+         --profile-cache {} --plan-out {}",
+        cache.display(),
+        plan_out.display()
+    ));
+    assert!(
+        cli.contains("profile cache: 10 hits, 0 partial, 0 misses"),
+        "{cli}"
+    );
+    assert_eq!(std::fs::read_to_string(&plan_out).unwrap(), served);
+
+    let manifest = dir.join("batch.txt");
+    std::fs::write(&manifest, "design d695 widths=24 seeds=1\n").unwrap();
+    let plan_dir = dir.join("fleet");
+    let fleet = run_soctdc(&format!(
+        "fleet --manifest {} --workers 2 --profile-cache {} --plan-dir {}",
+        manifest.display(),
+        cache.display(),
+        plan_dir.display()
+    ));
+    assert!(
+        fleet.contains("profile cache: 10 hits, 0 partial, 0 misses"),
+        "{fleet}"
+    );
+    let planned = std::fs::read_to_string(plan_dir.join("d695-w24-seed1.plan")).unwrap();
+    assert_eq!(planned, served);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
