@@ -24,7 +24,7 @@
 //! [`encode_slices_packed`] is the matching batched encoder: it derives
 //! every slice's fill polarity and target positions from a few word
 //! operations over the care/value planes (the per-slice arithmetic of
-//! `packed.rs`, shared with the packed cost path in `stream.rs`) and emits
+//! `packed.rs`) and emits
 //! codewords bit-identical to
 //! [`Encoder::encode_slice`](crate::Encoder::encode_slice). Together they
 //! make plan-time stream verification — encode, decode, compare, for every

@@ -49,6 +49,7 @@
 
 mod analysis;
 mod area;
+mod bitslice;
 mod code;
 mod decoder;
 mod emulate;

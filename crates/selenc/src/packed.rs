@@ -1,6 +1,7 @@
-//! Per-slice arithmetic shared by the packed cost kernel
-//! ([`cube_cost_policy`](crate::cube_cost_policy)) and the packed encoder
-//! ([`encode_slices_packed`](crate::encode_slices_packed)).
+//! Per-slice arithmetic of the packed encoder
+//! ([`encode_slices_packed`](crate::encode_slices_packed)), which plan-time
+//! stream verification runs over every slice of a
+//! [`wrapper::SliceMatrix`].
 //!
 //! A slice arrives as its packed care and value rows (bit `k % 64` of word
 //! `k / 64` = chain `k`; the value row is zero wherever the care row is).
@@ -15,6 +16,10 @@
 //! * the group test "more than two targets" is two `x & (x - 1)` steps,
 //!   and a group that fails it holds `(x != 0) + (y != 0)` targets — no
 //!   popcount, which the baseline x86-64 target lacks as an instruction.
+//!
+//! Counting codewords needs none of this per-slice work: the cost kernel
+//! ([`crate::bitslice`]) reads the chain-major planes and handles 64
+//! slices per word operation, so it never transposes the cube.
 
 use crate::code::SliceCode;
 
@@ -93,7 +98,7 @@ pub(crate) fn more_than_two(x: u64) -> bool {
 
 /// Set-bit count of `x` where `x` has at most two bits set.
 #[inline]
-pub(crate) fn count_at_most_two(x: u64) -> u64 {
+fn count_at_most_two(x: u64) -> u64 {
     let y = x & x.wrapping_sub(1);
     u64::from(x != 0) + u64::from(y != 0)
 }

@@ -14,13 +14,11 @@
 use std::cell::RefCell;
 
 use soc_model::{Core, TestSet, Trit, TritVec};
-use wrapper::{design_wrapper, SliceMatrix, WrapperDesign};
+use wrapper::{design_wrapper, WrapperDesign};
 
+use crate::bitslice::{self, CostScratch};
 use crate::code::{Codeword, SliceCode};
 use crate::encoder::Encoder;
-use crate::packed::{
-    count_at_most_two, few_targets, fill_polarity, more_than_two, target_word, Geometry, Groups,
-};
 
 /// Compresses one cube into its codeword stream, slice by slice
 /// (shallowest slice first).
@@ -55,8 +53,10 @@ pub fn cube_cost(code: SliceCode, design: &WrapperDesign, cube: &TritVec) -> u64
 /// [`cube_cost`] with group-copy mode optionally disabled (matching
 /// [`Encoder::single_bit_only`]); used by the mode-contribution ablation.
 ///
-/// Runs the packed word-parallel kernel; [`cube_cost_scalar`] is the
-/// per-symbol reference it is tested against.
+/// Runs a bit-sliced kernel over the cube's chain-major planes
+/// ([`wrapper::ChainPlanes`]), 64 slices per word operation (`DESIGN.md`
+/// §10); [`cube_cost_scalar`] is the per-symbol reference it is tested
+/// against.
 ///
 /// # Panics
 ///
@@ -67,63 +67,19 @@ pub fn cube_cost_policy(
     cube: &TritVec,
     group_copy: bool,
 ) -> u64 {
-    COST_SCRATCH.with(|s| cube_cost_packed(code, design, cube, group_copy, &mut s.borrow_mut()))
+    COST_SCRATCH.with(|s| bitslice::cube_cost(code, design, cube, group_copy, &mut s.borrow_mut()))
 }
 
 thread_local! {
-    // One slice matrix per thread makes the public cost functions
+    // One set of kernel buffers per thread makes the public cost functions
     // allocation-free across calls without threading a handle through
     // every caller.
-    static COST_SCRATCH: RefCell<SliceMatrix> = RefCell::new(SliceMatrix::new());
-}
-
-/// Packed slice-cost kernel: builds the cube's slice-major care/value
-/// planes once, then counts each slice's codewords from its fill polarity
-/// and one walk over its target groups (see [`crate::packed`]).
-fn cube_cost_packed(
-    code: SliceCode,
-    design: &WrapperDesign,
-    cube: &TritVec,
-    group_copy: bool,
-    slices: &mut SliceMatrix,
-) -> u64 {
-    assert_eq!(
-        design.chain_count(),
-        code.chains(),
-        "wrapper design and slice code disagree on the chain count"
-    );
-    design.fill_slice_matrix(cube, slices);
-    let geo = Geometry::new(code);
-    let mut total = 0u64;
-    for (care, value) in slices.rows() {
-        let fill = fill_polarity(care, value);
-        let mut singles = 0u64;
-        let mut copies = 0u64;
-        if let Some(n) = few_targets(care, value, fill) {
-            singles = n;
-        } else if group_copy {
-            for (_, x) in Groups::new(geo, care, value, fill) {
-                if more_than_two(x) {
-                    copies += 1;
-                } else {
-                    singles += count_at_most_two(x);
-                }
-            }
-        } else {
-            singles = care
-                .iter()
-                .zip(value)
-                .map(|(&cw, &vw)| u64::from(target_word(cw, vw, fill).count_ones()))
-                .sum();
-        }
-        total += Encoder::cost_of(singles, copies);
-    }
-    total
+    static COST_SCRATCH: RefCell<CostScratch> = RefCell::new(CostScratch::default());
 }
 
 /// Per-symbol reference implementation of [`cube_cost_policy`]: walks every
 /// (depth, chain) pair through [`position_at`](wrapper::ChainLayout::position_at).
-/// Kept as the oracle the packed kernel is property-tested against; use
+/// Kept as the oracle the bit-sliced kernel is property-tested against; use
 /// [`cube_cost`] / [`cube_cost_policy`] everywhere else.
 ///
 /// # Panics
@@ -357,6 +313,52 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn tie_slice_fills_zeros() {
+        // Twelve input cells on twelve chains: the cube is one slice, in
+        // groups of c = 4. Five ones (a copied group plus a single) tie
+        // five zeros (two singles plus a copied group), so the fill is
+        // zero and the ones are the targets: 1 + 2 codewords, where
+        // filling ones would cost 2 + 2.
+        let core = Core::builder("tie")
+            .inputs(12)
+            .pattern_count(1)
+            .build()
+            .unwrap();
+        let design = design_wrapper(&core, 12);
+        let code = SliceCode::for_chains(12);
+        let cube: TritVec = "1111100X000X".parse().unwrap();
+        assert_eq!(design.scan_in_length(), 1);
+        assert_eq!(design.slice(&cube, 0), cube);
+        assert_eq!(cube_cost(code, &design, &cube), 3);
+        assert_eq!(cube_cost_scalar(code, &design, &cube, true), 3);
+        assert_eq!(encode_cube(&Encoder::new(code), &design, &cube).len(), 3);
+        // Single-bit mode pays one codeword per one either way.
+        assert_eq!(cube_cost_policy(code, &design, &cube, false), 5);
+    }
+
+    #[test]
+    fn all_x_cube_costs_one_codeword_per_slice() {
+        let core = Core::builder("x")
+            .inputs(5)
+            .fixed_chains(vec![17, 9, 130, 64, 1])
+            .pattern_count(1)
+            .build()
+            .unwrap();
+        let cube: TritVec = std::iter::repeat_n(Trit::X, core.scan_load_bits() as usize).collect();
+        for m in [1u32, 2, 3, 5, 10] {
+            let design = design_wrapper(&core, m);
+            let code = SliceCode::for_chains(design.chain_count());
+            for group_copy in [true, false] {
+                assert_eq!(
+                    cube_cost_policy(code, &design, &cube, group_copy),
+                    design.scan_in_length(),
+                    "m={m} group_copy={group_copy}"
+                );
             }
         }
     }

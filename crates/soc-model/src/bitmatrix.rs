@@ -1,14 +1,15 @@
-//! Packed bit matrices with word-parallel transpose and sub-word copies.
+//! Packed bit matrices with word-parallel transpose and sub-word reads
+//! and writes.
 //!
-//! The slice-cost kernel of the compression stack views a test cube two
-//! ways: *chain-major* (each wrapper chain's load sequence is a contiguous
-//! run of cube bits — cheap to fill with sub-word copies) and
-//! *slice-major* (each scan depth is one row — what the per-slice encoder
-//! statistics need). [`BitMatrix`] stores either orientation 64 bits per
-//! word and converts between them with a blocked bit transpose, so the
-//! whole conversion runs at a few instructions per 64 symbols instead of
-//! one call per symbol. The block shape follows the row count (see
-//! [`BitMatrix::transpose_into`]).
+//! The compression stack views a test cube two ways: *chain-major* (each
+//! wrapper chain's load sequence is a contiguous run of cube bits — cheap
+//! to fill with sub-word copies, and what the bit-sliced slice-cost kernel
+//! reads) and *slice-major* (each scan depth is one row — what the packed
+//! encoder and stream emulator consume). [`BitMatrix`] stores either
+//! orientation 64 bits per word and converts between them with a blocked
+//! bit transpose, so the whole conversion runs at a few instructions per
+//! 64 symbols instead of one call per symbol. The block shape follows the
+//! row count (see [`BitMatrix::transpose_into`]).
 //!
 //! Bits are indexed LSB-first: column `c` of a row lives in word `c / 64`
 //! at bit `c % 64` — the same packing as [`TritVec`](crate::TritVec)'s
@@ -294,19 +295,6 @@ pub fn write_bits(dst: &mut [u64], off: usize, n: usize, bits: u64) {
     }
 }
 
-/// Copies `len` bits from bit offset `src_off` of `src` to bit offset
-/// `dst_off` of `dst` (both LSB-first packed). The destination range must
-/// currently be zero.
-pub fn copy_bits(dst: &mut [u64], dst_off: usize, src: &[u64], src_off: usize, len: usize) {
-    let mut done = 0usize;
-    while done < len {
-        let n = (len - done).min(WORD_BITS);
-        let v = read_bits(src, src_off + done, n);
-        write_bits(dst, dst_off + done, n, v);
-        done += n;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,33 +412,6 @@ mod tests {
         m.transpose_into(&mut t);
         t.transpose_into(&mut tt);
         assert_eq!(m, tt);
-    }
-
-    #[test]
-    fn copy_bits_matches_per_bit_copy() {
-        let mut rng = SplitMix64::new(3);
-        let src: Vec<u64> = (0..6).map(|_| rng.next_u64()).collect();
-        for (src_off, dst_off, len) in [
-            (0, 0, 64),
-            (3, 61, 130),
-            (70, 1, 200),
-            (5, 5, 1),
-            (63, 127, 65),
-        ] {
-            let mut dst = vec![0u64; 8];
-            copy_bits(&mut dst, dst_off, &src, src_off, len);
-            for i in 0..len {
-                let want = (src[(src_off + i) / 64] >> ((src_off + i) % 64)) & 1;
-                let got = (dst[(dst_off + i) / 64] >> ((dst_off + i) % 64)) & 1;
-                assert_eq!(got, want, "bit {i} of copy ({src_off},{dst_off},{len})");
-            }
-            // Bits outside the destination range stay zero.
-            let set: u32 = dst.iter().map(|w| w.count_ones()).sum();
-            let expect: u32 = (0..len)
-                .map(|i| ((src[(src_off + i) / 64] >> ((src_off + i) % 64)) & 1) as u32)
-                .sum();
-            assert_eq!(set, expect);
-        }
     }
 
     #[test]

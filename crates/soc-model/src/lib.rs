@@ -53,7 +53,7 @@ mod rng;
 mod soc;
 mod trit;
 
-pub use crate::bitmatrix::{copy_bits, read_bits, write_bits, BitMatrix};
+pub use crate::bitmatrix::{read_bits, write_bits, BitMatrix};
 pub use crate::core::{BuildCoreError, Core, CoreBuilder, ScanArchitecture};
 pub use crate::generator::CubeSynthesis;
 pub use crate::pattern::{PatternSizeError, TestSet};

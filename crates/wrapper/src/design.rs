@@ -3,6 +3,8 @@
 //! Iyengar, Chakrabarty & Marinissen, ITC 2001 / JETTA 2002).
 
 use soc_model::{Core, ScanArchitecture, Trit, TritVec};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 
 /// Layout of one wrapper chain: which cube positions it loads, in shift
@@ -222,6 +224,12 @@ impl ExactSizeIterator for Slices<'_> {}
 ///
 /// Panics if `m == 0`.
 pub fn design_wrapper(core: &Core, m: u32) -> WrapperDesign {
+    best_fit_decreasing::<MinHeap>(core, m)
+}
+
+/// The BFD heuristic behind [`design_wrapper`], with the "shortest wrapper
+/// chain" pick supplied by `P`.
+fn best_fit_decreasing<P: ShortestPick>(core: &Core, m: u32) -> WrapperDesign {
     assert!(m > 0, "wrapper chain count must be positive");
     let m = m.min(core.max_wrapper_chains()) as usize;
 
@@ -246,8 +254,9 @@ pub fn design_wrapper(core: &Core, m: u32) -> WrapperDesign {
                 bases.push(acc);
                 acc += u64::from(l);
             }
+            let mut shortest = P::new(vec![0; m]);
             for (idx, len) in units {
-                let target = shortest_chain(&chains);
+                let target = shortest.take(u64::from(len));
                 let base = bases[idx];
                 let seg = base..base + u64::from(len);
                 chains[target].push_segment(seg);
@@ -278,22 +287,18 @@ pub fn design_wrapper(core: &Core, m: u32) -> WrapperDesign {
 
     // Step 2: wrapper input cells, one at a time, each to the wrapper chain
     // with the shortest load length.
+    let mut shortest = P::new(chains.iter().map(|c| c.load_len).collect());
     for pos in 0..io_inputs {
-        let target = shortest_chain(&chains);
+        let target = shortest.take(1);
         chains[target].push_segment(pos..pos + 1);
     }
 
     // Step 3: wrapper output cells to the chain with the shortest unload
     // length (no cube positions: responses are not planned).
-    let mut unload_extra = vec![0u64; m];
+    let mut shortest = P::new(chains.iter().map(|c| c.unload_len).collect());
     for _ in 0..io_outputs {
-        let target = (0..m)
-            .min_by_key(|&i| (chains[i].unload_len + unload_extra[i], i))
-            .expect("m > 0");
-        unload_extra[target] += 1;
-    }
-    for (chain, extra) in chains.iter_mut().zip(unload_extra) {
-        chain.unload_len += extra;
+        let target = shortest.take(1);
+        chains[target].unload_len += 1;
     }
 
     chains.retain(|c| c.load_len > 0 || c.unload_len > 0);
@@ -309,18 +314,43 @@ pub fn design_wrapper(core: &Core, m: u32) -> WrapperDesign {
     }
 }
 
-fn shortest_chain(chains: &[ChainLayout]) -> usize {
-    chains
-        .iter()
-        .enumerate()
-        .min_by_key(|(i, c)| (c.load_len, *i))
-        .map(|(i, _)| i)
-        .expect("at least one chain")
+/// The BFD pick over a set of wrapper chains: the shortest chain, the
+/// lowest index among equally short ones.
+trait ShortestPick {
+    /// A pick over chains with the given lengths (at least one).
+    fn new(lengths: Vec<u64>) -> Self;
+
+    /// Picks the shortest chain and files it `added` longer.
+    fn take(&mut self, added: u64) -> usize;
+}
+
+/// [`ShortestPick`] from a min-heap keyed `(length, index)`: `O(log m)`
+/// per pick, where a scan over the chains costs `O(m)`.
+struct MinHeap(BinaryHeap<Reverse<(u64, usize)>>);
+
+impl ShortestPick for MinHeap {
+    fn new(lengths: Vec<u64>) -> Self {
+        MinHeap(
+            lengths
+                .into_iter()
+                .enumerate()
+                .map(|(i, len)| Reverse((len, i)))
+                .collect(),
+        )
+    }
+
+    fn take(&mut self, added: u64) -> usize {
+        let mut top = self.0.peek_mut().expect("at least one chain");
+        let Reverse((len, i)) = *top;
+        *top = Reverse((len + added, i));
+        i
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use soc_model::Core;
 
     fn hard_core() -> Core {
@@ -464,5 +494,82 @@ mod tests {
     #[should_panic(expected = "chain count must be positive")]
     fn zero_chains_panics() {
         design_wrapper(&hard_core(), 0);
+    }
+
+    /// The linear-scan pick the heap replaced: a scan over every chain
+    /// for the lowest `(length, index)`. Kept as the reference the heap
+    /// pick is tested against.
+    struct LinearScan(Vec<u64>);
+
+    impl ShortestPick for LinearScan {
+        fn new(lengths: Vec<u64>) -> Self {
+            LinearScan(lengths)
+        }
+
+        fn take(&mut self, added: u64) -> usize {
+            let i = (0..self.0.len())
+                .min_by_key(|&i| (self.0[i], i))
+                .expect("at least one chain");
+            self.0[i] += added;
+            i
+        }
+    }
+
+    #[test]
+    fn heap_pick_breaks_ties_toward_the_lowest_index() {
+        let mut heap = MinHeap::new(vec![3, 1, 1, 2]);
+        assert_eq!(heap.take(1), 1); // lengths 3 2 1 2
+        assert_eq!(heap.take(5), 2); // lengths 3 2 6 2
+        assert_eq!(heap.take(1), 1); // lengths 3 3 6 2
+        assert_eq!(heap.take(0), 3); // 2 stays shortest
+        assert_eq!(heap.take(1), 3); // lengths 3 3 6 3: all of 0, 1, 3 tie
+        assert_eq!(heap.take(0), 0);
+    }
+
+    fn arb_core() -> impl Strategy<Value = Core> {
+        (
+            prop_oneof![
+                Just(ScanArchitecture::Combinational),
+                // Hard cores, including runs of equal chains whose picks
+                // tie on length.
+                proptest::collection::vec(1u32..80, 1..24)
+                    .prop_map(|c| ScanArchitecture::Fixed { chain_lengths: c }),
+                (1u32..40, 1usize..24).prop_map(|(len, n)| ScanArchitecture::Fixed {
+                    chain_lengths: vec![len; n]
+                }),
+                (1u32..2_000, 1u32..128).prop_map(|(cells, max)| ScanArchitecture::Flexible {
+                    cells,
+                    max_chains: max
+                }),
+            ],
+            0u32..96,
+            0u32..96,
+            0u32..8,
+        )
+            .prop_filter_map("core must have stimulus", |(scan, i, o, b)| {
+                Core::builder("bfd")
+                    .scan(scan)
+                    .inputs(i)
+                    .outputs(o)
+                    .bidirs(b)
+                    .pattern_count(1)
+                    .build()
+                    .ok()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The heap pick files every scan chain, input cell and output
+        /// cell on the chain the linear scan picks, so designs are
+        /// identical.
+        #[test]
+        fn heap_pick_matches_linear_scan(core in arb_core(), m in 1u32..64) {
+            prop_assert_eq!(
+                best_fit_decreasing::<MinHeap>(&core, m),
+                best_fit_decreasing::<LinearScan>(&core, m)
+            );
+        }
     }
 }
