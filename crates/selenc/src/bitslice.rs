@@ -1,13 +1,14 @@
-//! The bit-sliced slice-cost kernel behind
-//! [`cube_cost_policy`](crate::cube_cost_policy).
+//! The bit-sliced column arithmetic behind the slice-cost kernel
+//! ([`cube_cost_policy`](crate::cube_cost_policy)) and the column encoder
+//! of plan-time stream verification ([`crate::emulate`]).
 //!
 //! The kernel counts the codewords of every scan slice of a cube without
 //! forming a slice. It reads the cube's chain-major planes
 //! ([`wrapper::ChainPlanes`]: row = wrapper chain, bit = scan depth), so
 //! one word of a row holds one chain's symbols at 64 consecutive depths.
-//! Taking the same word of every row — a *column* — gives 64 slices side
-//! by side, one per bit lane, and every step below is a word operation
-//! that serves all 64 at once:
+//! Taking the same word of every row — a *column* ([`Column`]) — gives 64
+//! slices side by side, one per bit lane, and every step below is a word
+//! operation that serves all 64 at once:
 //!
 //! * **Fill polarity.** Vertical counters of the ones and of the zeros
 //!   over the `m` rows hold each lane's two counts in bit planes
@@ -19,11 +20,12 @@
 //! * **Targets.** Chain `k`'s target word — the care symbols opposite the
 //!   fill — is `value ^ (fill & care)`, since the value plane is zero
 //!   wherever the care plane is.
-//! * **Groups.** A saturating counter over each group's `c` rows marks
-//!   the lanes where the group holds at least one, two and three targets.
-//!   A group with one or two targets costs that many single flips, one
-//!   with three or more a two-codeword copy, so it costs
-//!   `min(targets, 2)` codewords: the set bits of its first two marks.
+//! * **Groups.** A saturating counter over each group's `c` rows
+//!   ([`group_marks`]) marks the lanes where the group holds at least one,
+//!   two and three targets. A group with one or two targets costs that
+//!   many single flips, one with three or more a two-codeword copy, so it
+//!   costs `min(targets, 2)` codewords: the set bits of its first two
+//!   marks.
 //! * **Header.** A slice without any single flip pays one more codeword,
 //!   its header. That is every valid lane in which no group holds one or
 //!   two targets; the mask of valid lanes drops the pad depths of the last
@@ -32,7 +34,8 @@
 //! With group-copy mode off every target is a single flip, so a slice
 //! costs `max(1, targets)`. The per-symbol
 //! [`cube_cost_scalar`](crate::cube_cost_scalar) is the oracle this kernel
-//! is property-tested against.
+//! is property-tested against. The column encoder takes the same fill,
+//! targets and third mark, and emits the words the kernel only counts.
 
 use soc_model::TritVec;
 use wrapper::{ChainPlanes, WrapperDesign};
@@ -40,12 +43,40 @@ use wrapper::{ChainPlanes, WrapperDesign};
 use crate::code::SliceCode;
 
 /// Reusable buffers of the kernel: the cube's chain-major planes and one
-/// column of each.
+/// column of them.
 #[derive(Debug, Default)]
 pub(crate) struct CostScratch {
     planes: ChainPlanes,
-    care: Vec<u64>,
-    value: Vec<u64>,
+    column: Column,
+}
+
+/// Word `j` of every care row and of every value row of a cube's
+/// chain-major planes: 64 slices, one per bit lane.
+#[derive(Debug, Default)]
+pub(crate) struct Column {
+    /// Care word of every chain.
+    pub(crate) care: Vec<u64>,
+    /// Value word of every chain, zero wherever the care word is.
+    pub(crate) value: Vec<u64>,
+}
+
+impl Column {
+    /// Loads column `j` of `planes`.
+    #[inline]
+    pub(crate) fn load(&mut self, planes: &ChainPlanes, j: usize) {
+        self.care.clear();
+        self.care.extend(planes.care().row_iter().map(|row| row[j]));
+        self.value.clear();
+        self.value
+            .extend(planes.value().row_iter().map(|row| row[j]));
+    }
+}
+
+/// The lanes of column `j` that hold a slice of a cube `depths` deep:
+/// all 64 but in a partial last column.
+#[inline]
+pub(crate) fn live_lanes(depths: usize, j: usize) -> usize {
+    (depths - 64 * j).min(64)
 }
 
 /// Counts the codewords of `cube` under `design` (see the module docs).
@@ -66,28 +97,20 @@ pub(crate) fn cube_cost(
         code.chains(),
         "wrapper design and slice code disagree on the chain count"
     );
-    design.fill_chain_planes(cube, &mut scratch.planes);
-    let CostScratch {
-        planes,
-        care: care_col,
-        value: value_col,
-    } = scratch;
-    let (care, value) = (planes.care(), planes.value());
+    let CostScratch { planes, column } = scratch;
+    design.fill_chain_planes(cube, planes);
     // Lane counts reach at most m < 2^c.
     let c = code.data_bits() as usize;
     let mut total = 0u64;
-    for j in 0..care.words_per_row() {
-        care_col.clear();
-        care_col.extend(care.row_iter().map(|row| row[j]));
-        value_col.clear();
-        value_col.extend(value.row_iter().map(|row| row[j]));
-        let fill = fill_lanes(care_col, value_col, c);
-        let live = (planes.depths() - 64 * j).min(64);
-        let valid = u64::MAX >> (64 - live);
+    for j in 0..planes.care().words_per_row() {
+        column.load(planes, j);
+        let (care, value) = (&column.care, &column.value);
+        let fill = fill_lanes(care, value, c);
+        let valid = u64::MAX >> (64 - live_lanes(planes.depths(), j));
         total += if group_copy {
-            group_cost(care_col, value_col, fill, c, valid)
+            group_cost(care, value, fill, c, valid)
         } else {
-            single_cost(care_col, value_col, fill, valid)
+            single_cost(care, value, fill, valid)
         };
     }
     total
@@ -95,7 +118,7 @@ pub(crate) fn cube_cost(
 
 /// The fill polarity of each lane of a column: set where the care rows
 /// hold more ones than zeros. `bits` is the width of every lane count.
-fn fill_lanes(care: &[u64], value: &[u64], bits: usize) -> u64 {
+pub(crate) fn fill_lanes(care: &[u64], value: &[u64], bits: usize) -> u64 {
     let mut ones = Tally::default();
     let mut zeros = Tally::default();
     let (care8, value8) = (care.chunks_exact(8), value.chunks_exact(8));
@@ -120,18 +143,24 @@ fn group_cost(care: &[u64], value: &[u64], fill: u64, c: usize, valid: u64) -> u
     // Lanes with a single flip somewhere: their header carries it.
     let mut singles = 0u64;
     for (cg, vg) in care.chunks(c).zip(value.chunks(c)) {
-        // Lanes where the group holds at least one, two, three targets.
-        let (mut one, mut two, mut three) = (0u64, 0u64, 0u64);
-        for (&cw, &vw) in cg.iter().zip(vg) {
-            let t = vw ^ (fill & cw);
-            three |= two & t;
-            two |= one & t;
-            one |= t;
-        }
+        let [one, two, three] = group_marks(cg.iter().zip(vg).map(|(&cw, &vw)| vw ^ (fill & cw)));
         total += u64::from(one.count_ones() + two.count_ones());
         singles |= one & !three;
     }
     total + u64::from((valid & !singles).count_ones())
+}
+
+/// Saturating marks of one group's target words: the lanes where the group
+/// holds at least one, two and three targets.
+#[inline(always)]
+pub(crate) fn group_marks(targets: impl Iterator<Item = u64>) -> [u64; 3] {
+    let (mut one, mut two, mut three) = (0u64, 0u64, 0u64);
+    for t in targets {
+        three |= two & t;
+        two |= one & t;
+        one |= t;
+    }
+    [one, two, three]
 }
 
 /// Codewords of a column's slices in single-bit mode: one per target, and
@@ -207,10 +236,42 @@ fn full_add(a: u64, b: u64, c: u64) -> (u64, u64) {
     (u ^ c, (a & b) | (u & c))
 }
 
+/// The positions of the set bits of `x`, lowest first.
+#[inline]
+pub(crate) fn set_bits(mut x: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (x != 0).then(|| {
+            let bit = x.trailing_zeros();
+            x &= x - 1;
+            bit
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use soc_model::SplitMix64;
+
+    #[test]
+    fn set_bits_and_group_marks_agree_with_popcount() {
+        let mut rng = SplitMix64::new(3);
+        for x in (0u64..1024).chain((0..64).map(|_| rng.next_u64())) {
+            let bits: Vec<u32> = set_bits(x).collect();
+            let want: Vec<u32> = (0..64).filter(|b| x >> b & 1 == 1).collect();
+            assert_eq!(bits, want);
+        }
+        for rows in 0..6 {
+            let words: Vec<u64> = (0..rows).map(|_| rng.next_u64()).collect();
+            let marks = group_marks(words.iter().copied());
+            for lane in 0..64 {
+                let n = words.iter().filter(|&&w| w >> lane & 1 == 1).count();
+                for (need, mark) in (1..).zip(marks) {
+                    assert_eq!(mark >> lane & 1 == 1, n >= need, "rows={rows} lane={lane}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn tally_counts_and_compares_every_lane() {

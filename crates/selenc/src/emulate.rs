@@ -1,175 +1,289 @@
-//! Batched bit-parallel emulation of the decompressor.
+//! Plan-time stream verification on chain-major columns.
 //!
-//! [`Decompressor`](crate::Decompressor) models the hardware one chain bit
-//! at a time: a `Vec<bool>` buffer, a branch per symbol. That is the right
-//! shape for an executable specification, and far too slow to run over a
-//! full SOC's codeword streams at plan time. [`Emulator`] evaluates the
-//! *same* cycle-accurate state machine in packed `u64` lanes — 64 wrapper
-//! chains per word, the layout already produced by
-//! [`wrapper::SliceMatrix`]:
+//! [`Encoder`](crate::Encoder) and [`Decompressor`](crate::Decompressor)
+//! work one slice, and one chain bit, at a time: the right shape for an
+//! executable specification, far too slow to run over every compressed
+//! core's streams at plan time. This module encodes, decodes and checks
+//! the same streams on the cube's chain-major planes
+//! ([`wrapper::ChainPlanes`]: row = wrapper chain, bit = scan depth), the
+//! view the slice-cost kernel ([`crate::bitslice`]) reads. Word `j` of
+//! every row — a *column* — holds 64 consecutive slices, one per bit lane,
+//! so nothing is ever transposed.
 //!
-//! * a slice header fills the whole buffer with whole-word stores (the
-//!   fill polarity is one splat, not `m` writes);
-//! * a single-bit update touches one bit of one word;
-//! * a group-copy literal splices its `c ≤ 32` bits with two masked word
-//!   operations.
+//! * **Encode** ([`encode_columns`]). Per column, the cost kernel's tally
+//!   gives all 64 fill polarities, the target rows are
+//!   `value ^ (fill & care)`, and saturating marks over each group's rows
+//!   flag the lanes where the group holds three or more targets: the
+//!   groups that are copied. Every other target is a single flip, and is
+//!   scattered into its lane's row of single positions, one OR per target.
+//!   Each live lane then emits exactly the words of
+//!   [`Encoder::encode_slice`](crate::Encoder::encode_slice): a header
+//!   (fill polarity, first single or the spare index `m`), the remaining
+//!   singles, then a group header and literal per copied group, with
+//!   `last` on the final word.
+//! * **Decode.** The state machine of [`Decompressor`](crate::Decompressor),
+//!   with the same errors, writes each decoded symbol into chain-major
+//!   `written`/`value` words at its slice's lane; a header only sets its
+//!   lane of a per-column fill word. Chain `k`'s decoded word is then
+//!   `(fill & !written) | (value & written)`.
+//! * **Check** ([`verify_stream_columns`]). Every 64 slices, and at stream
+//!   end, each decoded row is compared with the raw planes: chain `k`
+//!   violates exactly where `care & (decoded ^ value)` is set. The lowest
+//!   such lane, then the lowest chain at it, is the first violation in
+//!   the slice-then-chain order of [`verify_stream`](crate::verify_stream).
 //!
-//! Verification is word-parallel too: a decoded slice violates its cube
-//! exactly where `care & (decoded ^ value)` is non-zero, so a clean slice
-//! costs a handful of AND/XOR/OR ops instead of `m` ternary compares, and
-//! the first offending chain falls out of a trailing-zeros count — the
-//! packed verifier reports the same `(slice, chain)` location as the
-//! scalar [`verify_stream`](crate::verify_stream).
+//! The decoder reads only the codewords and the raw planes, never the
+//! encoder's fill words, targets or marks, so an encoder fault cannot hide
+//! behind a check that shares its arithmetic. The scalar
+//! `encoder.rs`/`decoder.rs`/`integrity.rs` path stays the oracle;
+//! `tests/emulate_prop.rs` property-checks the two bit-identical, errors
+//! included.
 //!
-//! [`encode_slices_packed`] is the matching batched encoder: it derives
-//! every slice's fill polarity and target positions from a few word
-//! operations over the care/value planes (the per-slice arithmetic of
-//! `packed.rs`) and emits
-//! codewords bit-identical to
-//! [`Encoder::encode_slice`](crate::Encoder::encode_slice). Together they
-//! make plan-time stream verification — encode, decode, compare, for every
-//! pattern of every compressed core — cheap enough to run by default.
-//!
-//! A pattern-major layout (64 *patterns* per word, one lane per pattern)
-//! was considered and rejected: the decompressor's writes are steered by
-//! each codeword's *data field*, which differs per pattern, so pattern
-//! lanes immediately diverge into data-dependent scatter and the "SIMD"
-//! loop degenerates to scalar stores. Chain lanes keep every write a
-//! whole-word or two-word operation regardless of the stream content.
-//!
-//! The scalar `decoder.rs` / `integrity.rs` path is kept untouched as the
-//! oracle; `tests/emulate_prop.rs` property-checks the two bit-identical.
+//! A pattern-major layout (64 *patterns* per word) was considered and
+//! rejected: the decompressor's writes are steered by each codeword's data
+//! field, which differs per pattern, so pattern lanes diverge into
+//! data-dependent scatter. Slice lanes of one pattern are decoded in
+//! stream order, one lane at a time, so every write is one masked store.
 
 use std::cell::RefCell;
 
 use soc_model::{Core, TestSet, TritVec};
-use wrapper::{design_wrapper, SliceMatrix, WrapperDesign};
+use wrapper::{design_wrapper, ChainPlanes, WrapperDesign};
 
+use crate::bitslice::{fill_lanes, group_marks, live_lanes, set_bits, Column};
 use crate::code::{Codeword, SliceCode};
 use crate::decoder::DecodeError;
 use crate::integrity::StreamError;
-use crate::packed::{
-    few_targets, fill_polarity, more_than_two, set_bits, target_word, Geometry, Groups,
-};
 
-/// Packed-lane decompressor: the cycle-accurate state machine of
-/// [`Decompressor`](crate::Decompressor) over a `u64`-packed slice buffer
-/// (bit `k % 64` of word `k / 64` is wrapper chain `k`).
+/// Encodes every slice of `planes` (shallowest first), appending the
+/// codewords to `out`: bit-identical to running
+/// [`Encoder::encode_slice`](crate::Encoder::encode_slice) over each
+/// materialized slice, but 64 slices per word operation (see the module
+/// docs).
 ///
-/// # Examples
+/// `group_copy` mirrors [`Encoder::new`](crate::Encoder::new) (`true`) vs
+/// [`Encoder::single_bit_only`](crate::Encoder::single_bit_only).
 ///
-/// ```
-/// use selenc::{Emulator, Encoder, SliceCode};
+/// # Panics
 ///
-/// let code = SliceCode::for_chains(8);
-/// let words = Encoder::new(code).encode_slice(&"XXX1000X".parse()?);
-/// let mut emu = Emulator::new(code);
-/// let mut slices = 0;
-/// for cw in words {
-///     if emu.feed(cw)? {
-///         assert_eq!(emu.slice_words()[0] & 0xff, 0b0000_1000);
-///         slices += 1;
-///     }
-/// }
-/// assert_eq!(slices, 1);
-/// assert!(emu.is_idle());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct Emulator {
+/// Panics if the planes' chain count differs from the code's.
+pub fn encode_columns(
     code: SliceCode,
-    /// The code's chain count, group width and group count, read once.
-    geo: Geometry,
-    /// Packed slice buffer, `chains.div_ceil(64)` words; bits at or beyond
-    /// the chain count stay zero so verifiers can consume rows unmasked.
-    buffer: Vec<u64>,
-    /// The live chains of the buffer's last word.
-    tail: u64,
-    fill_latch: bool,
-    state: State,
-    slices_emitted: u64,
-    words_consumed: u64,
+    group_copy: bool,
+    planes: &ChainPlanes,
+    out: &mut Vec<Codeword>,
+) {
+    ColumnEncoder::default().encode(code, group_copy, planes, out);
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    AwaitHeader,
-    InSlice,
-    AwaitLiteral { group: u32 },
+/// Decodes `words` and verifies the result against the chain-major
+/// care/value planes of `expected`: the column equivalent of
+/// [`verify_stream`](crate::verify_stream), returning the same
+/// [`StreamError`] with the same priority — malformed, truncated, slice
+/// count, slice length, then the first care-bit violation in
+/// slice-then-chain order. A stream that decodes past the planes' last
+/// column is a slice-count error.
+///
+/// # Errors
+///
+/// Exactly the errors of [`verify_stream`](crate::verify_stream).
+pub fn verify_stream_columns(
+    code: SliceCode,
+    words: impl IntoIterator<Item = Codeword>,
+    expected: &ChainPlanes,
+) -> Result<(), StreamError> {
+    ColumnDecoder::default().verify(code, words, expected)
 }
 
-impl Emulator {
-    /// Creates an emulator for the given slice code.
-    pub fn new(code: SliceCode) -> Self {
-        let tail_bits = code.chains() % 64;
-        Emulator {
-            code,
-            geo: Geometry::new(code),
-            buffer: vec![0; (code.chains() as usize).div_ceil(64)],
-            tail: if tail_bits == 0 {
-                !0
-            } else {
-                (1u64 << tail_bits) - 1
-            },
-            fill_latch: false,
-            state: State::AwaitHeader,
-            slices_emitted: 0,
-            words_consumed: 0,
+/// Reusable buffers of the column encoder.
+#[derive(Debug, Default)]
+struct ColumnEncoder {
+    column: Column,
+    /// Target word of every chain in the current column.
+    targets: Vec<u64>,
+    /// Per group: the lanes where it is copied.
+    copies: Vec<u64>,
+    /// Per lane: the chains of its single flips, `stride` words a lane.
+    singles: Vec<u64>,
+}
+
+impl ColumnEncoder {
+    fn encode(
+        &mut self,
+        code: SliceCode,
+        group_copy: bool,
+        planes: &ChainPlanes,
+        out: &mut Vec<Codeword>,
+    ) {
+        assert_eq!(
+            planes.chains(),
+            code.chains() as usize,
+            "chain planes and slice code disagree on the chain count"
+        );
+        let m = code.chains();
+        let c = code.data_bits() as usize;
+        let stride = (m as usize).div_ceil(64);
+        let ColumnEncoder {
+            column,
+            targets,
+            copies,
+            singles,
+        } = self;
+        singles.clear();
+        singles.resize(64 * stride, 0);
+        copies.clear();
+        copies.resize(code.group_count() as usize, 0);
+        let word = |mode, data| Codeword {
+            mode,
+            last: false,
+            data,
+        };
+        for j in 0..planes.care().words_per_row() {
+            column.load(planes, j);
+            let (care, value) = (&column.care, &column.value);
+            // Lane counts reach at most m < 2^c.
+            let fill = fill_lanes(care, value, c);
+            targets.clear();
+            targets.extend(care.iter().zip(value).map(|(&cw, &vw)| vw ^ (fill & cw)));
+            // Lanes with any copied group.
+            let mut copied = 0u64;
+            for ((g, tg), copy) in (0..)
+                .step_by(c)
+                .zip(targets.chunks(c))
+                .zip(copies.iter_mut())
+            {
+                *copy = if group_copy {
+                    group_marks(tg.iter().copied())[2]
+                } else {
+                    0
+                };
+                copied |= *copy;
+                for (k, &t) in (g..).zip(tg) {
+                    let (at, bit) = (k / 64, 1u64 << (k % 64));
+                    for lane in set_bits(t & !*copy) {
+                        singles[lane as usize * stride + at] |= bit;
+                    }
+                }
+            }
+            let live = live_lanes(planes.depths(), j);
+            for (lane, row) in (0..live).zip(singles.chunks_mut(stride)) {
+                let fill = fill >> lane & 1 == 1;
+                let start = out.len();
+                // The header carries the fill and the first single.
+                let mut mode = fill;
+                for (base, w) in (0u32..).step_by(64).zip(row.iter_mut()) {
+                    for bit in set_bits(*w) {
+                        out.push(word(mode, base + bit));
+                        mode = false;
+                    }
+                    *w = 0;
+                }
+                if out.len() == start {
+                    out.push(word(fill, m));
+                }
+                if copied >> lane & 1 == 1 {
+                    let groups = (0..).zip(targets.chunks(c)).zip(copies.iter());
+                    for ((group, tg), _) in groups.filter(|(_, &copy)| copy >> lane & 1 == 1) {
+                        let x =
+                            (tg.iter().rev()).fold(0u32, |x, &t| x << 1 | (t >> lane & 1) as u32);
+                        // Literal bits carry logic values: the targets, and
+                        // the fill everywhere else.
+                        let len_mask = (u64::MAX >> (64 - tg.len())) as u32;
+                        let literal = if fill { len_mask & !x } else { x };
+                        out.push(word(true, group));
+                        out.push(word(false, literal));
+                    }
+                }
+                out.last_mut().expect("header always present").last = true;
+            }
         }
     }
+}
 
-    /// The slice code in use.
-    pub fn code(&self) -> SliceCode {
-        self.code
+/// The decompressor's state machine over one column of chain-major words
+/// (see the module docs). Reusable: [`reset`](Self::reset) reshapes it.
+#[derive(Debug, Default)]
+struct ColumnDecoder {
+    /// Chain count `m`.
+    chains: u32,
+    /// Group width `c`.
+    c: u32,
+    /// Group count.
+    groups: u32,
+    /// Per chain, the lanes of this column a flip or literal wrote; the
+    /// extra row `m` takes the spare index's "no update", unread.
+    written: Vec<u64>,
+    /// The values written, meaningful where `written` is set.
+    value: Vec<u64>,
+    /// The fill polarity of each lane of this column.
+    fill: u64,
+    /// The lane of the slice being decoded, as a one-bit mask.
+    lane: u64,
+    /// What a flip writes: ones under fill 0, zeros under fill 1.
+    flip: u64,
+    state: State,
+    /// Slices completed.
+    slices: usize,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum State {
+    #[default]
+    AwaitHeader,
+    InSlice,
+    AwaitLiteral {
+        group: u32,
+    },
+}
+
+impl ColumnDecoder {
+    /// Readies the decoder for a fresh stream under `code`.
+    fn reset(&mut self, code: SliceCode) {
+        let rows = code.chains() as usize + 1;
+        self.chains = code.chains();
+        self.c = code.data_bits();
+        self.groups = code.group_count();
+        self.written.clear();
+        self.written.resize(rows, 0);
+        self.value.clear();
+        self.value.resize(rows, 0);
+        self.fill = 0;
+        self.lane = 1;
+        self.flip = 0;
+        self.state = State::AwaitHeader;
+        self.slices = 0;
     }
 
-    /// Number of complete slices emitted so far.
-    pub fn slices_emitted(&self) -> u64 {
-        self.slices_emitted
-    }
-
-    /// Number of codewords consumed so far (one per TAM clock).
-    pub fn words_consumed(&self) -> u64 {
-        self.words_consumed
-    }
-
-    /// Returns `true` when the emulator is between slices (a safe point to
-    /// stop the stream).
-    pub fn is_idle(&self) -> bool {
-        self.state == State::AwaitHeader
-    }
-
-    /// The packed slice buffer; meaningful right after [`feed`](Self::feed)
-    /// returned `Ok(true)`, when it holds the just-completed slice (bit
-    /// `k % 64` of word `k / 64` = chain `k`, zero past the chain count).
-    pub fn slice_words(&self) -> &[u64] {
-        &self.buffer
-    }
-
-    /// Consumes one codeword; returns `Ok(true)` when this word carried
-    /// the last flag and [`slice_words`](Self::slice_words) now holds the
-    /// completed slice.
+    /// Consumes one codeword; returns `Ok(true)` when it completed a slice.
     ///
     /// # Errors
     ///
-    /// Rejects exactly the streams [`Decompressor::feed`]
-    /// (crate::Decompressor::feed) rejects, with the same [`DecodeError`].
-    pub fn feed(&mut self, cw: Codeword) -> Result<bool, DecodeError> {
-        self.words_consumed += 1;
+    /// Rejects exactly the streams
+    /// [`Decompressor::feed`](crate::Decompressor::feed) rejects, with the
+    /// same [`DecodeError`].
+    #[inline]
+    fn feed(&mut self, cw: Codeword) -> Result<bool, DecodeError> {
         match self.state {
             State::AwaitHeader => {
-                self.fill_latch = cw.mode;
-                self.fill_buffer(cw.mode);
-                self.flip(cw.data)?;
+                let lane = self.slices % 64;
+                if lane == 0 {
+                    // A new column keeps nothing of the last one.
+                    self.written.fill(0);
+                    self.fill = 0;
+                }
+                self.lane = 1 << lane;
+                self.fill |= self.lane & 0u64.wrapping_sub(u64::from(cw.mode));
+                self.flip = u64::from(cw.mode).wrapping_sub(1);
+                self.write_flip(cw.data)?;
                 self.state = State::InSlice;
-                Ok(self.maybe_emit(cw.last))
+                Ok(self.end_slice(cw.last))
             }
             State::InSlice => {
                 if cw.mode {
-                    if cw.data >= self.geo.groups {
+                    if cw.data >= self.groups {
                         return Err(DecodeError::GroupOutOfRange {
                             group: cw.data,
-                            groups: self.geo.groups,
+                            groups: self.groups,
                         });
                     }
                     if cw.last {
@@ -178,14 +292,14 @@ impl Emulator {
                     self.state = State::AwaitLiteral { group: cw.data };
                     Ok(false)
                 } else {
-                    self.flip(cw.data)?;
-                    Ok(self.maybe_emit(cw.last))
+                    self.write_flip(cw.data)?;
+                    Ok(self.end_slice(cw.last))
                 }
             }
             State::AwaitLiteral { group } => {
                 // The group header was checked against the group count.
-                let start = group * self.geo.c;
-                let len = self.geo.len_at(start);
+                let start = group * self.c;
+                let len = (self.chains - start).min(self.c);
                 if len < 32 && cw.data >> len != 0 {
                     return Err(DecodeError::LiteralSpareBitsSet {
                         group,
@@ -193,259 +307,145 @@ impl Emulator {
                         len,
                     });
                 }
-                splice_bits(
-                    &mut self.buffer,
-                    start as usize,
-                    len as usize,
-                    u64::from(cw.data),
-                );
+                for (k, j) in (start as usize..).zip(0..len) {
+                    self.write(k, 0u64.wrapping_sub(u64::from(cw.data >> j & 1)));
+                }
                 self.state = State::InSlice;
-                Ok(self.maybe_emit(cw.last))
+                Ok(self.end_slice(cw.last))
             }
-        }
-    }
-
-    /// Splats the fill polarity across the buffer with whole-word stores,
-    /// keeping bits at or beyond the chain count zero.
-    fn fill_buffer(&mut self, fill: bool) {
-        let word = if fill { !0u64 } else { 0 };
-        if let Some((last, body)) = self.buffer.split_last_mut() {
-            for w in body {
-                *w = word;
-            }
-            *last = word & self.tail;
         }
     }
 
     /// The update of a header or single-bit word: chain `index` takes the
     /// symbol opposite the fill; `index == m` is the spare "no update".
-    fn flip(&mut self, index: u32) -> Result<(), DecodeError> {
-        let m = self.geo.chains;
-        if index > m {
-            return Err(DecodeError::BitIndexOutOfRange { index, chains: m });
+    #[inline]
+    fn write_flip(&mut self, index: u32) -> Result<(), DecodeError> {
+        if index > self.chains {
+            return Err(DecodeError::BitIndexOutOfRange {
+                index,
+                chains: self.chains,
+            });
         }
-        // The spare value masks to nothing, so every valid word takes the
-        // same store and no branch follows the stream's data.
-        let mask = u64::from(index < m) << (index % 64);
-        let last = self.buffer.len() - 1;
-        let word = &mut self.buffer[(index as usize / 64).min(last)];
-        *word = if self.fill_latch {
-            *word & !mask
-        } else {
-            *word | mask
-        };
+        self.write(index as usize, self.flip);
         Ok(())
     }
 
-    fn maybe_emit(&mut self, last: bool) -> bool {
+    /// Writes this slice's lane of chain `k`: the lane's bit of `bits`.
+    #[inline]
+    fn write(&mut self, k: usize, bits: u64) {
+        let lane = self.lane;
+        self.written[k] |= lane;
+        self.value[k] = (self.value[k] & !lane) | (bits & lane);
+    }
+
+    #[inline]
+    fn end_slice(&mut self, last: bool) -> bool {
         if last {
             self.state = State::AwaitHeader;
-            self.slices_emitted += 1;
+            self.slices += 1;
         }
         last
     }
+
+    /// Chain `k`'s decoded word of this column.
+    #[inline]
+    fn decoded(&self, k: usize) -> u64 {
+        let w = self.written[k];
+        (self.fill & !w) | (self.value[k] & w)
+    }
+
+    /// The first `(slice, chain)` of column `j` whose decoded bit
+    /// contradicts a care bit of `planes`: the lowest lane, then the lowest
+    /// chain at it. Lanes this column has not decoded hold no slice of a
+    /// stream whose slice count matches, so they need no mask.
+    fn first_violation(&self, planes: &ChainPlanes, j: usize) -> Option<(usize, usize)> {
+        let bad =
+            |k: usize, (care, value): (&[u64], &[u64])| care[j] & (self.decoded(k) ^ value[j]);
+        let rows = || planes.care().row_iter().zip(planes.value().row_iter());
+        let any = rows()
+            .enumerate()
+            .fold(0u64, |any, (k, row)| any | bad(k, row));
+        if any == 0 {
+            return None;
+        }
+        let lane = any.trailing_zeros();
+        let chain = rows()
+            .enumerate()
+            .position(|(k, row)| bad(k, row) >> lane & 1 == 1)?;
+        Some((64 * j + lane as usize, chain))
+    }
+
+    /// Decodes `words` and checks them against `expected` (see
+    /// [`verify_stream_columns`]).
+    fn verify(
+        &mut self,
+        code: SliceCode,
+        words: impl IntoIterator<Item = Codeword>,
+        expected: &ChainPlanes,
+    ) -> Result<(), StreamError> {
+        self.reset(code);
+        let lanes_match = expected.chains() == code.chains() as usize;
+        // Columns to check; none when the chain counts differ.
+        let columns = if lanes_match {
+            expected.care().words_per_row()
+        } else {
+            0
+        };
+        let mut first: Option<(usize, usize)> = None;
+        let mut check = |dec: &Self, j: usize| {
+            if first.is_none() && j < columns {
+                first = dec.first_violation(expected, j);
+            }
+        };
+        for cw in words {
+            if self.feed(cw).map_err(StreamError::Malformed)? && self.slices.is_multiple_of(64) {
+                check(self, self.slices / 64 - 1);
+            }
+        }
+        if self.state != State::AwaitHeader {
+            return Err(StreamError::Malformed(DecodeError::TruncatedStream));
+        }
+        if !self.slices.is_multiple_of(64) {
+            check(self, self.slices / 64);
+        }
+        if self.slices != expected.depths() {
+            return Err(StreamError::SliceCountMismatch {
+                expected: expected.depths(),
+                decoded: self.slices,
+            });
+        }
+        if !lanes_match && self.slices > 0 {
+            // The scalar verifier reports the first slice whose cube length
+            // disagrees; with uniform planes that is always slice 0.
+            return Err(StreamError::SliceLengthMismatch {
+                slice: 0,
+                expected: expected.chains(),
+                decoded: code.chains() as usize,
+            });
+        }
+        match first {
+            Some((slice, chain)) => Err(StreamError::CareBitViolation { slice, chain }),
+            None => Ok(()),
+        }
+    }
 }
 
-/// Overwrites `len <= 32` bits of `dst` starting at bit `off` with the low
-/// bits of `bits` (straddling at most two words).
-fn splice_bits(dst: &mut [u64], off: usize, len: usize, bits: u64) {
-    debug_assert!(len <= 32);
-    if len == 0 {
-        return;
-    }
-    let mask = (1u64 << len) - 1;
-    let bits = bits & mask;
-    let (w, shift) = (off / 64, off % 64);
-    dst[w] = (dst[w] & !(mask << shift)) | (bits << shift);
-    if shift + len > 64 {
-        let spill = shift + len - 64;
-        let hi_mask = (1u64 << spill) - 1;
-        dst[w + 1] = (dst[w + 1] & !hi_mask) | (bits >> (len - spill));
-    }
-}
-
-/// Reusable buffers for [`verify_cube_stream`]; one per thread, so the
+/// Reusable buffers of [`verify_cube_stream`]; one set per thread, so the
 /// public functions stay allocation-free across calls.
 #[derive(Debug, Default)]
-struct EmulateScratch {
-    slices: SliceMatrix,
+struct VerifyScratch {
+    planes: ChainPlanes,
     words: Vec<Codeword>,
+    encoder: ColumnEncoder,
+    decoder: ColumnDecoder,
 }
 
 thread_local! {
-    static EMULATE_SCRATCH: RefCell<EmulateScratch> = RefCell::new(EmulateScratch::default());
+    static VERIFY_SCRATCH: RefCell<VerifyScratch> = RefCell::new(VerifyScratch::default());
 }
 
-/// Encodes every slice of `slices` (shallowest first), appending the
-/// codewords to `out` — bit-identical to running
-/// [`Encoder::encode_slice`](crate::Encoder::encode_slice) over each
-/// materialized slice, but driven by word operations over the packed
-/// care/value planes instead of per-symbol lookups.
-///
-/// `group_copy` mirrors [`Encoder::new`](crate::Encoder::new) (`true`) vs
-/// [`Encoder::single_bit_only`](crate::Encoder::single_bit_only).
-///
-/// # Panics
-///
-/// Panics if the matrix's chain count differs from the code's.
-pub fn encode_slices_packed(
-    code: SliceCode,
-    group_copy: bool,
-    slices: &SliceMatrix,
-    out: &mut Vec<Codeword>,
-) {
-    assert_eq!(
-        slices.chains(),
-        code.chains() as usize,
-        "slice matrix and slice code disagree on the chain count"
-    );
-    let geo = Geometry::new(code);
-    for (care, value) in slices.rows() {
-        encode_one_slice(geo, group_copy, care, value, out);
-    }
-}
-
-/// The per-slice packed emitter behind [`encode_slices_packed`], in the
-/// order of `Encoder::encode_slice`: a header carrying the fill polarity
-/// and the first single flip, the remaining singles, then a group
-/// header/literal pair per copied group; the last word carries the last
-/// flag. Singles go straight to `out`; copied groups are rare, so a second
-/// walk over the groups emits them.
-fn encode_one_slice(
-    geo: Geometry,
-    group_copy: bool,
-    care: &[u64],
-    value: &[u64],
-    out: &mut Vec<Codeword>,
-) {
-    let fill = fill_polarity(care, value);
-    let word = |mode, data| Codeword {
-        mode,
-        last: false,
-        data,
-    };
-    let mut header = true;
-    let mut single = |pos: u32| {
-        out.push(word(header && fill, pos));
-        header = false;
-    };
-    // Minority masks are sparse by construction, so walking the set bits
-    // beats a walk over every position.
-    let mut copies = false;
-    if !group_copy || few_targets(care, value, fill).is_some() {
-        // No group is copied, so the singles are every target, in order.
-        for ((&cw, &vw), base) in care.iter().zip(value).zip((0..).step_by(64)) {
-            for bit in set_bits(target_word(cw, vw, fill)) {
-                single(base + bit);
-            }
-        }
-    } else {
-        for (start, x) in Groups::new(geo, care, value, fill) {
-            if more_than_two(x) {
-                copies = true;
-            } else {
-                for bit in set_bits(x) {
-                    single(start + bit);
-                }
-            }
-        }
-    }
-    if header {
-        out.push(word(fill, geo.chains));
-    }
-    if copies {
-        for (group, (start, x)) in (0..).zip(Groups::new(geo, care, value, fill)) {
-            if more_than_two(x) {
-                // Literal bits carry actual logic values: target where the
-                // mask is set, fill elsewhere (don't-cares take the fill).
-                let len_mask = (1u64 << geo.len_at(start)) - 1;
-                let literal = if fill { len_mask & !x } else { x };
-                out.push(word(true, group));
-                out.push(word(false, literal as u32));
-            }
-        }
-    }
-    out.last_mut().expect("header always present").last = true;
-}
-
-/// Decodes `words` through the packed [`Emulator`] and verifies the result
-/// against the slice-major care/value planes of `expected` — the batched
-/// equivalent of [`verify_stream`](crate::verify_stream), returning the
-/// same [`StreamError`] (including the first offending `(slice, chain)`
-/// location, in slice-then-chain order).
-///
-/// # Errors
-///
-/// Exactly the errors of [`verify_stream`](crate::verify_stream).
-pub fn verify_stream_packed(
-    code: SliceCode,
-    words: impl IntoIterator<Item = Codeword>,
-    expected: &SliceMatrix,
-) -> Result<(), StreamError> {
-    let mut emu = Emulator::new(code);
-    let lanes_match = expected.chains() == code.chains() as usize;
-    // The rows to check decoded slices against; none when the lanes differ.
-    let mut rows = expected
-        .rows()
-        .take(if lanes_match { usize::MAX } else { 0 });
-    let mut decoded = 0usize;
-    let mut first_violation: Option<(usize, usize)> = None;
-    for cw in words {
-        if emu.feed(cw).map_err(StreamError::Malformed)? {
-            if first_violation.is_none() {
-                if let Some((care, value)) = rows.next() {
-                    if let Some(chain) = violating_chain(care, value, emu.slice_words()) {
-                        first_violation = Some((decoded, chain));
-                    }
-                }
-            }
-            decoded += 1;
-        }
-    }
-    if !emu.is_idle() {
-        return Err(StreamError::Malformed(DecodeError::TruncatedStream));
-    }
-    if decoded != expected.depths() {
-        return Err(StreamError::SliceCountMismatch {
-            expected: expected.depths(),
-            decoded,
-        });
-    }
-    if !lanes_match && decoded > 0 {
-        // The scalar verifier reports the first slice whose cube length
-        // disagrees — with a uniform matrix that is always slice 0.
-        return Err(StreamError::SliceLengthMismatch {
-            slice: 0,
-            expected: expected.chains(),
-            decoded: code.chains() as usize,
-        });
-    }
-    match first_violation {
-        Some((slice, chain)) => Err(StreamError::CareBitViolation { slice, chain }),
-        None => Ok(()),
-    }
-}
-
-/// First chain whose care bit the packed slice `decoded` contradicts, given
-/// the slice's care and value rows, or `None` when every care bit holds.
-///
-/// A chain violates exactly where `care & (decoded ^ value)` is set, so a
-/// clean row costs three word ops per 64 chains and the first offender
-/// falls out of a trailing-zeros count. Bits past the chain count have
-/// care = 0, so padding in `decoded` never produces a false positive.
-fn violating_chain(care: &[u64], value: &[u64], decoded: &[u64]) -> Option<usize> {
-    care.iter()
-        .zip(value)
-        .zip(decoded)
-        .enumerate()
-        .find_map(|(i, ((&cw, &vw), &dw))| {
-            let bad = cw & (dw ^ vw);
-            (bad != 0).then(|| i * 64 + bad.trailing_zeros() as usize)
-        })
-}
-
-/// Encodes `cube` under `design` with the packed encoder, then decodes and
-/// verifies the stream with the packed emulator; returns the codeword
+/// Encodes `cube` under `design` with the column encoder, then decodes and
+/// verifies the stream with the column decoder; returns the codeword
 /// count. This is the plan-time per-pattern check: it proves the exact
 /// stream the tester would ship reproduces every care bit of the cube.
 ///
@@ -460,26 +460,18 @@ fn violating_chain(care: &[u64], value: &[u64], decoded: &[u64]) -> Option<usize
 /// Panics if the cube is shorter than the design's deepest position.
 pub fn verify_cube_stream(design: &WrapperDesign, cube: &TritVec) -> Result<u64, StreamError> {
     let code = SliceCode::for_chains(design.chain_count());
-    EMULATE_SCRATCH.with(|s| {
-        // The scratch's slice matrix and codeword buffer are reused across
-        // cubes; the per-slice planner borrows the rest disjointly.
-        let (slices, words) = {
-            let scratch = &mut *s.borrow_mut();
-            let slices = std::mem::take(&mut scratch.slices);
-            let words = std::mem::take(&mut scratch.words);
-            (slices, words)
-        };
-        let mut slices = slices;
-        let mut words = words;
-        design.fill_slice_matrix(cube, &mut slices);
+    VERIFY_SCRATCH.with(|s| {
+        let VerifyScratch {
+            planes,
+            words,
+            encoder,
+            decoder,
+        } = &mut *s.borrow_mut();
+        design.fill_chain_planes(cube, planes);
         words.clear();
-        encode_slices_packed(code, true, &slices, &mut words);
-        let result = verify_stream_packed(code, words.iter().copied(), &slices);
-        let count = words.len() as u64;
-        let scratch = &mut *s.borrow_mut();
-        scratch.slices = slices;
-        scratch.words = words;
-        result.map(|()| count)
+        encoder.encode(code, true, planes, words);
+        decoder.verify(code, words.iter().copied(), planes)?;
+        Ok(words.len() as u64)
     })
 }
 
@@ -573,83 +565,88 @@ mod tests {
         core
     }
 
-    fn unpack_slice(words: &[u64], m: usize) -> Vec<bool> {
-        (0..m).map(|k| words[k / 64] >> (k % 64) & 1 == 1).collect()
+    fn random_slice(rng: &mut SplitMix64, m: u32) -> TritVec {
+        (0..m)
+            .map(|_| match rng.next_below(4) {
+                0 => Trit::Zero,
+                1 => Trit::One,
+                _ => Trit::X,
+            })
+            .collect()
     }
 
-    /// Feeds the same stream to the scalar and packed decoders, asserting
-    /// identical slices, errors, and counters at every step.
+    /// The decoded slice at `lane` of the decoder's current column.
+    fn decoded_slice(dec: &ColumnDecoder, lane: usize) -> Vec<bool> {
+        (0..dec.chains as usize)
+            .map(|k| dec.decoded(k) >> lane & 1 == 1)
+            .collect()
+    }
+
+    /// Feeds the same stream to the scalar and column decoders, asserting
+    /// identical slices and errors at every step.
     fn assert_lockstep(code: SliceCode, words: &[Codeword]) {
         let mut scalar = Decompressor::new(code);
-        let mut packed = Emulator::new(code);
+        let mut column = ColumnDecoder::default();
+        column.reset(code);
         for &cw in words {
-            let s = scalar.feed(cw);
-            let p = packed.feed(cw);
-            match (s, p) {
+            match (scalar.feed(cw), column.feed(cw)) {
                 (Ok(Some(slice)), Ok(true)) => {
-                    assert_eq!(
-                        unpack_slice(packed.slice_words(), code.chains() as usize),
-                        slice
-                    );
+                    let lane = (column.slices - 1) % 64;
+                    assert_eq!(decoded_slice(&column, lane), slice, "slice {lane}");
                 }
                 (Ok(None), Ok(false)) => {}
-                (Err(se), Err(pe)) => {
-                    assert_eq!(se, pe);
+                (Err(se), Err(ce)) => {
+                    assert_eq!(se, ce);
                     return;
                 }
-                (s, p) => panic!("decoder divergence: scalar {s:?} vs packed emit {p:?}"),
+                (s, c) => panic!("decoder divergence: scalar {s:?} vs column emit {c:?}"),
             }
-            assert_eq!(scalar.is_idle(), packed.is_idle());
-            assert_eq!(scalar.slices_emitted(), packed.slices_emitted());
-            assert_eq!(scalar.words_consumed(), packed.words_consumed());
+            assert_eq!(scalar.is_idle(), column.state == State::AwaitHeader);
+            assert_eq!(scalar.slices_emitted(), column.slices as u64);
         }
     }
 
     #[test]
-    fn packed_decoder_matches_scalar_on_clean_streams() {
+    fn column_decoder_matches_scalar_on_clean_streams() {
+        // 150 slices: two full columns and a partial third.
         for m in [1u32, 2, 7, 8, 31, 63, 64, 65, 130] {
             let code = SliceCode::for_chains(m);
             let enc = Encoder::new(code);
             let mut rng = SplitMix64::new(u64::from(m) * 31 + 5);
-            let mut words = Vec::new();
-            for _ in 0..8 {
-                let slice: TritVec = (0..m)
-                    .map(|_| match rng.next_below(4) {
-                        0 => Trit::Zero,
-                        1 => Trit::One,
-                        _ => Trit::X,
-                    })
-                    .collect();
-                words.extend(enc.encode_slice(&slice));
-            }
+            let words: Vec<Codeword> = (0..150)
+                .flat_map(|_| enc.encode_slice(&random_slice(&mut rng, m)))
+                .collect();
             assert_lockstep(code, &words);
         }
     }
 
     #[test]
-    fn packed_decoder_matches_scalar_on_arbitrary_words() {
-        // Random (mostly malformed) codewords: every error must agree.
+    fn column_decoder_matches_scalar_on_arbitrary_words() {
+        // Random (mostly malformed) codewords: every error must agree; the
+        // last flag is common enough that some streams cross a column.
         for m in [1u32, 5, 10, 33, 64, 100] {
             let code = SliceCode::for_chains(m);
             let mut rng = SplitMix64::new(u64::from(m) + 99);
-            for _ in 0..32 {
-                let words: Vec<Codeword> = (0..12)
-                    .map(|_| Codeword {
-                        mode: rng.next_below(2) == 0,
-                        last: rng.next_below(3) == 0,
-                        data: rng.next_below(1 << code.data_bits()) as u32,
-                    })
-                    .collect();
-                assert_lockstep(code, &words);
+            for len in [12, 200] {
+                for _ in 0..32 {
+                    let words: Vec<Codeword> = (0..len)
+                        .map(|_| Codeword {
+                            mode: rng.next_below(4) == 0,
+                            last: rng.next_below(2) == 0,
+                            data: rng.next_below(1 << code.data_bits()) as u32,
+                        })
+                        .collect();
+                    assert_lockstep(code, &words);
+                }
             }
         }
     }
 
     #[test]
-    fn packed_encoder_matches_scalar_encoder() {
+    fn column_encoder_matches_scalar_encoder() {
         let core = test_core(300, 6, 0.25);
         let ts = core.test_set().unwrap();
-        let mut sm = SliceMatrix::new();
+        let mut planes = ChainPlanes::new();
         for m in [3u32, 16, 64, 100] {
             let design = design_wrapper(&core, m);
             let code = SliceCode::for_chains(design.chain_count());
@@ -660,76 +657,158 @@ mod tests {
                     Encoder::single_bit_only(code)
                 };
                 for cube in ts.iter() {
-                    design.fill_slice_matrix(cube, &mut sm);
-                    let mut packed = Vec::new();
-                    encode_slices_packed(code, group_copy, &sm, &mut packed);
-                    let scalar: Vec<Codeword> = design
-                        .slices(cube)
-                        .flat_map(|s| enc.encode_slice(&s))
-                        .collect();
-                    assert_eq!(packed, scalar, "m={m} group_copy={group_copy}");
+                    design.fill_chain_planes(cube, &mut planes);
+                    let mut words = Vec::new();
+                    encode_columns(code, group_copy, &planes, &mut words);
+                    let scalar = crate::stream::encode_cube(&enc, &design, cube);
+                    assert_eq!(words, scalar, "m={m} group_copy={group_copy}");
                 }
             }
         }
     }
 
-    #[test]
-    fn packed_verifier_matches_scalar_on_flips() {
-        let code = SliceCode::for_chains(10);
-        let cubes: Vec<TritVec> = ["10XX01XX10", "0110100101", "X1X0X1X0X1"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
-        let enc = Encoder::new(code);
-        let words: Vec<Codeword> = cubes.iter().flat_map(|s| enc.encode_slice(s)).collect();
-        // A SliceMatrix with the same planes as the cube list.
-        let mut sm = SliceMatrix::new();
-        fill_matrix_from_slices(&mut sm, &cubes);
-        let w = code.tam_width();
-        for i in 0..words.len() {
-            for bit in 0..w {
-                let mut flipped = words.clone();
-                let packed = flipped[i].pack(code) ^ (1 << bit);
-                flipped[i] = Codeword::unpack(packed, code);
-                let scalar = verify_stream(code, flipped.iter().copied(), &cubes);
-                let fast = verify_stream_packed(code, flipped.iter().copied(), &sm);
-                assert_eq!(scalar, fast, "word {i} bit {bit}");
-            }
-        }
-        // Truncations too.
-        for cut in 0..words.len() {
-            let scalar = verify_stream(code, words[..cut].iter().copied(), &cubes);
-            let fast = verify_stream_packed(code, words[..cut].iter().copied(), &sm);
-            assert_eq!(scalar, fast, "cut {cut}");
-        }
-    }
-
-    /// Builds a slice matrix holding `slices` as its rows by staging them
-    /// through a scratch core whose single chain is loaded per-depth. Test
-    /// helper only: production matrices come from `fill_slice_matrix`.
-    fn fill_matrix_from_slices(sm: &mut SliceMatrix, slices: &[TritVec]) {
-        // Concatenate the slices into one cube and present it through a
-        // design with `m` chains of length `depths` each: chain k, depth d
-        // must read slice d, symbol k, i.e. cube position d + k * depths.
-        let m = slices[0].len();
-        let depths = slices.len();
-        let mut cube = TritVec::with_capacity(m * depths);
-        for k in 0..m {
-            for s in slices {
-                cube.push(s.get(k));
-            }
-        }
-        let core = Core::builder("stage")
-            .fixed_chains(vec![depths as u32; m])
+    /// A core of `m` fixed chains, each `depth` deep, and the design that
+    /// gives each chain its own wrapper chain.
+    fn square(m: u32, depth: u32) -> (Core, WrapperDesign) {
+        let core = Core::builder("sq")
+            .fixed_chains(vec![depth; m as usize])
             .pattern_count(1)
             .build()
             .unwrap();
-        let design = design_wrapper(&core, m as u32);
-        assert_eq!(design.chain_count() as usize, m);
-        design.fill_slice_matrix(&cube, sm);
-        assert_eq!(sm.depths(), depths);
-        for (d, s) in slices.iter().enumerate() {
-            assert_eq!(&sm.slice(d), s, "staged slice {d}");
+        let design = design_wrapper(&core, m);
+        assert_eq!(design.chain_count(), m);
+        assert_eq!(design.scan_in_length(), u64::from(depth));
+        (core, design)
+    }
+
+    /// Encodes `cube`, then verifies the stream against the planes of
+    /// `cube` with the symbols at `(slice, chain)` of `flips` inverted, and
+    /// checks the verdict against the scalar oracle's.
+    fn verdict_with_flips(
+        design: &WrapperDesign,
+        cube: &TritVec,
+        flips: &[(u64, usize)],
+    ) -> Result<(), StreamError> {
+        let code = SliceCode::for_chains(design.chain_count());
+        let mut planes = ChainPlanes::new();
+        design.fill_chain_planes(cube, &mut planes);
+        let mut words = Vec::new();
+        encode_columns(code, true, &planes, &mut words);
+        let mut expected = cube.clone();
+        for &(slice, chain) in flips {
+            let pos = design.chains()[chain].position_at(slice).unwrap() as usize;
+            let bit = expected.get(pos) != Trit::One;
+            expected.set(pos, Trit::from_bit(bit));
+        }
+        design.fill_chain_planes(&expected, &mut planes);
+        let fast = verify_stream_columns(code, words.iter().copied(), &planes);
+        let slices: Vec<TritVec> = design.slices(&expected).collect();
+        assert_eq!(fast, verify_stream(code, words.iter().copied(), &slices));
+        fast
+    }
+
+    fn violation(slice: usize, chain: usize) -> Result<(), StreamError> {
+        Err(StreamError::CareBitViolation { slice, chain })
+    }
+
+    #[test]
+    fn first_violation_is_the_lowest_slice_then_the_lowest_chain() {
+        let (core, design) = square(3, 150);
+        let mut rng = SplitMix64::new(11);
+        let cube: TritVec = (0..core.scan_load_bits())
+            .map(|_| Trit::from_bit(rng.next_below(2) == 1))
+            .collect();
+        assert_eq!(verdict_with_flips(&design, &cube, &[]), Ok(()));
+        // Columns 0 and 2: column 0's violation is reported.
+        assert_eq!(
+            verdict_with_flips(&design, &cube, &[(130, 0), (5, 2)]),
+            violation(5, 2)
+        );
+        // Two bad chains in one slice: the lower chain.
+        assert_eq!(
+            verdict_with_flips(&design, &cube, &[(70, 2), (70, 1)]),
+            violation(70, 1)
+        );
+        // A lower chain at a later slice of the same column loses.
+        assert_eq!(
+            verdict_with_flips(&design, &cube, &[(9, 0), (3, 2)]),
+            violation(3, 2)
+        );
+        // Lane depth - 1 of the partial last column (150 = 2 * 64 + 22).
+        assert_eq!(
+            verdict_with_flips(&design, &cube, &[(149, 1)]),
+            violation(149, 1)
+        );
+    }
+
+    #[test]
+    fn later_columns_read_nothing_written_in_earlier_ones() {
+        // Chain 0 flips to 1 at the even slices of column 0 (fill 0); the
+        // same lanes of column 1 are care zeros that take the fill.
+        let (core, design) = square(3, 128);
+        let mut cube = TritVec::all_x(core.scan_load_bits() as usize);
+        for (k, chain) in design.chains().iter().enumerate() {
+            for depth in 0..128 {
+                let pos = chain.position_at(depth).unwrap() as usize;
+                cube.set(pos, Trit::from_bit(k == 0 && depth < 64 && depth % 2 == 0));
+            }
+        }
+        assert_eq!(verdict_with_flips(&design, &cube, &[]), Ok(()));
+        assert_eq!(verify_cube_stream(&design, &cube), Ok(128));
+    }
+
+    #[test]
+    fn streams_past_the_last_column_are_slice_count_errors() {
+        let (core, design) = square(2, 70);
+        let cube: TritVec = (0..core.scan_load_bits()).map(|_| Trit::One).collect();
+        let code = SliceCode::for_chains(2);
+        let mut planes = ChainPlanes::new();
+        design.fill_chain_planes(&cube, &mut planes);
+        let mut words = Vec::new();
+        encode_columns(code, true, &planes, &mut words);
+        let spare = Codeword {
+            mode: false,
+            last: true,
+            data: 2,
+        };
+        words.extend(std::iter::repeat_n(spare, 130));
+        let slices: Vec<TritVec> = design.slices(&cube).collect();
+        let want = Err(StreamError::SliceCountMismatch {
+            expected: 70,
+            decoded: 200,
+        });
+        assert_eq!(verify_stream(code, words.iter().copied(), &slices), want);
+        assert_eq!(verify_stream_columns(code, words, &planes), want);
+    }
+
+    #[test]
+    fn column_verifier_matches_scalar_on_flips() {
+        let core = test_core(120, 2, 0.4);
+        for m in [4u32, 10] {
+            let design = design_wrapper(&core, m);
+            let code = SliceCode::for_chains(design.chain_count());
+            let mut planes = ChainPlanes::new();
+            for cube in core.test_set().unwrap().iter() {
+                design.fill_chain_planes(cube, &mut planes);
+                let mut words = Vec::new();
+                encode_columns(code, true, &planes, &mut words);
+                let slices: Vec<TritVec> = design.slices(cube).collect();
+                let both = |words: &[Codeword]| {
+                    let scalar = verify_stream(code, words.iter().copied(), &slices);
+                    let fast = verify_stream_columns(code, words.iter().copied(), &planes);
+                    assert_eq!(scalar, fast, "m={m}");
+                };
+                for i in 0..words.len() {
+                    for bit in 0..code.tam_width() {
+                        let mut flipped = words.clone();
+                        flipped[i] = Codeword::unpack(flipped[i].pack(code) ^ (1 << bit), code);
+                        both(&flipped);
+                    }
+                }
+                for cut in 0..words.len() {
+                    both(&words[..cut]);
+                }
+            }
         }
     }
 
@@ -754,18 +833,5 @@ mod tests {
         assert_eq!(report.patterns, 5);
         let compressed = crate::stream::evaluate_clamped(&core, 12, None);
         assert_eq!(report.codewords, compressed.codewords);
-    }
-
-    #[test]
-    fn splice_straddles_word_boundaries() {
-        let mut words = vec![0u64; 2];
-        splice_bits(&mut words, 50, 32, 0xffff_ffff);
-        assert_eq!(words[0], !0u64 << 50);
-        assert_eq!(words[1], (1u64 << 18) - 1);
-        splice_bits(&mut words, 50, 32, 0);
-        assert_eq!(words, vec![0, 0]);
-        // Zero-length splices are no-ops.
-        splice_bits(&mut words, 10, 0, !0);
-        assert_eq!(words, vec![0, 0]);
     }
 }

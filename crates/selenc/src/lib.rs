@@ -10,8 +10,9 @@
 //! * [`Encoder`] — the compressor (single-bit and group-copy modes),
 //! * [`Decompressor`] — the executable hardware model used to verify that
 //!   every encoding reproduces every care bit,
-//! * [`Emulator`] — the batched bit-parallel equivalent (64 chains per
-//!   `u64` lane), fast enough to stream-verify whole SOC plans,
+//! * [`verify_cube_stream`] and its batch forms — the same encode, decode
+//!   and check on the cube's chain-major planes, 64 slices per word
+//!   operation, fast enough to stream-verify whole SOC plans,
 //! * [`compress_test_set`] / [`evaluate_point`] — test-time and volume
 //!   evaluation of whole test sets at a `(w, m)` operating point,
 //! * [`CoreProfile`] — the per-core lookup table the SOC planner consumes,
@@ -57,7 +58,6 @@ mod encoder;
 mod integrity;
 mod lut;
 mod memo;
-mod packed;
 mod rtl;
 mod stream;
 
@@ -66,8 +66,8 @@ pub use area::{decompressor_area, DecompressorArea};
 pub use code::{Codeword, SliceCode};
 pub use decoder::{DecodeError, Decompressor};
 pub use emulate::{
-    encode_slices_packed, verify_cube_stream, verify_cubes_stream, verify_operating_point,
-    verify_stream_packed, verify_test_set_stream, Emulator, StreamReport,
+    encode_columns, verify_cube_stream, verify_cubes_stream, verify_operating_point,
+    verify_stream_columns, verify_test_set_stream, StreamReport,
 };
 pub use encoder::Encoder;
 pub use integrity::{verify_stream, StreamError};

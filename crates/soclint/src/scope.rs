@@ -322,9 +322,9 @@ mod tests {
         assert!(experiment.wall_clock_banned && experiment.bin_root);
         assert_eq!(experiment.crate_name, "soc-tdc");
 
-        // The batched decompressor emulator replays plan-verified streams;
-        // it must stay under the determinism and wall-clock bans like the
-        // scalar decoder it mirrors.
+        // The column encoder and decoder replay plan-verified streams;
+        // they must stay under the determinism and wall-clock bans like
+        // the scalar decoder they mirror.
         let emulate = classify("crates/selenc/src/emulate.rs");
         assert!(emulate.determinism && emulate.wall_clock_banned);
         // Dirty-tracking: content fingerprints (lut), the memoized stamp

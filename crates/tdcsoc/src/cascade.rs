@@ -74,11 +74,11 @@ pub struct PlanControl {
     pub profile_cache: Option<ProfileCacheConfig>,
     /// Opts out of stream verification. By default (`false`) every
     /// selective-encoding operating point a finished plan instantiates is
-    /// re-encoded and replayed through the batched decompressor emulator
+    /// re-encoded and replayed through the column decoder
     /// ([`selenc::verify_test_set_stream`]) before the plan is returned, so
     /// a plan in hand is a plan whose compressed streams provably
     /// reconstruct every care bit. Skipping trades that guarantee for the
-    /// (emulator-cheap) verification time.
+    /// (cheap) verification time.
     pub skip_stream_verification: bool,
 }
 

@@ -457,12 +457,11 @@ impl Planner {
 }
 
 /// Replays every selective-encoding operating point the plan instantiates
-/// through the batched decompressor emulator
-/// ([`selenc::verify_cubes_stream`]): each core's cubes are re-encoded at
-/// its chosen `(w, m)` and the codeword stream decoded back, failing if
-/// any care bit is not reconstructed. This is the verify-at-plan-time
-/// contract — a returned plan's compressed streams are known-good, not
-/// merely cost-estimated.
+/// through the column decoder ([`selenc::verify_cubes_stream`]): each
+/// core's cubes are re-encoded at its chosen `(w, m)` and the codeword
+/// stream decoded back, failing if any care bit is not reconstructed.
+/// This is the verify-at-plan-time contract — a returned plan's
+/// compressed streams are known-good, not merely cost-estimated.
 ///
 /// Each compressed core's wrapper design is built once; its patterns are
 /// cut into runs (see [`verify_chunk_patterns`]) that run as independent
@@ -589,8 +588,8 @@ pub struct PlanStats {
     pub widths_reused: u64,
     /// Table widths whose operating-point search actually ran.
     pub widths_computed: u64,
-    /// Selective-encoding streams replayed through the emulator at plan
-    /// time (one per compressed core in the final plan).
+    /// Selective-encoding streams replayed through the column decoder at
+    /// plan time (one per compressed core in the final plan).
     pub streams_verified: usize,
     /// Total codewords those verifications consumed.
     pub stream_words: u64,

@@ -46,4 +46,4 @@ pub use design::{design_wrapper, ChainLayout, Slices, WrapperDesign};
 pub use ieee1500::{reconfiguration_overhead, tam_time_with_control, Wir, WrapperMode, WIR_LENGTH};
 pub use pareto::{best_design_up_to, pareto_points, test_time_at, WrapperPoint};
 pub use power::{estimate_scan_power, weighted_transitions, Fill, ScanPower};
-pub use slicemat::{ChainPlanes, SliceMatrix};
+pub use slicemat::ChainPlanes;

@@ -1,27 +1,23 @@
-//! Packed views of one cube under a wrapper design.
+//! The packed chain-major view of one cube under a wrapper design.
 //!
 //! [`WrapperDesign::slices`](crate::WrapperDesign::slices) materializes a
 //! `TritVec` per scan depth through per-symbol `get`/`push` calls — fine
 //! for correctness work, far too slow for the profile builder that
-//! evaluates millions of slices. Two packed views compute the same
-//! information in bulk:
-//!
-//! * [`ChainPlanes`] — chain-major: row `k` is wrapper chain `k`, bit `d`
-//!   of a row is scan depth `d`. Each chain's load sequence is a handful
-//!   of contiguous cube ranges, so the fill is a few sub-word copies per
-//!   chain, both planes in one pass; a one-bit segment (a wrapper input
-//!   cell) is one shift per plane. The slice-cost kernel reads this view
-//!   directly: a word of a row holds 64 slices' symbols for one chain.
-//! * [`SliceMatrix`] — slice-major: row `d` is the slice at scan depth
-//!   `d`, bit `k` of a row is chain `k`. It is the chain-major fill plus
-//!   a blocked bit transpose of both planes; the packed encoder and the
-//!   stream emulator consume it slice by slice.
+//! evaluates millions of slices and for plan-time stream verification.
+//! [`ChainPlanes`] computes the same information in bulk, chain-major:
+//! row `k` is wrapper chain `k`, bit `d` of a row is scan depth `d`. Each
+//! chain's load sequence is a handful of contiguous cube ranges, so the
+//! fill is a few sub-word copies per chain, both planes in one pass; a
+//! one-bit segment (a wrapper input cell) is one shift per plane. Word `j`
+//! of every row holds 64 slices side by side, one per bit lane: the
+//! slice-cost kernel and the stream encoder and decoder of `selenc` read
+//! the planes in those 64-depth columns, so no slice-major copy is made.
 //!
 //! Pad positions (depths past a chain's load length) hold `care = 0`,
 //! `value = 0` — exactly the don't-care encoding of
 //! [`TritVec`](soc_model::TritVec), so no masking is needed downstream.
 
-use soc_model::{read_bits, write_bits, BitMatrix, Trit, TritVec};
+use soc_model::{read_bits, write_bits, BitMatrix, TritVec};
 
 use crate::design::WrapperDesign;
 
@@ -85,86 +81,6 @@ impl ChainPlanes {
     }
 }
 
-/// Reusable slice-major care/value planes of one cube under one design.
-///
-/// # Examples
-///
-/// ```
-/// use soc_model::Core;
-/// use wrapper::{design_wrapper, SliceMatrix};
-///
-/// let core = Core::builder("c")
-///     .inputs(1)
-///     .fixed_chains(vec![4, 2])
-///     .pattern_count(1)
-///     .build()?;
-/// let design = design_wrapper(&core, 2);
-/// let cube = "1010101".parse()?;
-/// let mut sm = SliceMatrix::new();
-/// design.fill_slice_matrix(&cube, &mut sm);
-/// assert_eq!(sm.depths() as u64, design.scan_in_length());
-/// assert_eq!(sm.chains(), design.chain_count() as usize);
-/// // Slice rows agree with the reference slice() path.
-/// for depth in 0..design.scan_in_length() {
-///     assert_eq!(sm.slice(depth as usize), design.slice(&cube, depth));
-/// }
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SliceMatrix {
-    // Chain-major staging planes, transposed into the two below.
-    stage: ChainPlanes,
-    // Slice-major planes (rows = depths, cols = chains).
-    care: BitMatrix,
-    value: BitMatrix,
-}
-
-impl SliceMatrix {
-    /// Creates an empty matrix; [`WrapperDesign::fill_slice_matrix`] gives
-    /// it a shape.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of scan depths (slice rows) currently held.
-    pub fn depths(&self) -> usize {
-        self.care.rows()
-    }
-
-    /// Number of wrapper chains (bits per slice row).
-    pub fn chains(&self) -> usize {
-        self.care.cols()
-    }
-
-    /// The packed `(care, value)` rows of every slice, shallowest first.
-    /// Bit `k % 64` of word `k / 64` is chain `k`: its care bit is set
-    /// where the symbol is specified, and its value bit gives the symbol
-    /// (`0` at don't-care chains and past the chain count).
-    pub fn rows(&self) -> impl ExactSizeIterator<Item = (&[u64], &[u64])> {
-        self.care.row_iter().zip(self.value.row_iter())
-    }
-
-    /// Rebuilds the slice at `depth` as a `TritVec` — the slow reference
-    /// view, for tests and diagnostics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth >= self.depths()`.
-    pub fn slice(&self, depth: usize) -> TritVec {
-        let mut out = TritVec::with_capacity(self.chains());
-        for k in 0..self.chains() {
-            out.push(if !self.care.get(depth, k) {
-                Trit::X
-            } else if self.value.get(depth, k) {
-                Trit::One
-            } else {
-                Trit::Zero
-            });
-        }
-        out
-    }
-}
-
 impl WrapperDesign {
     /// Fills `out` with the chain-major care/value planes of `cube` under
     /// this design: row `k`, bit `depth` is the symbol chain `k` receives
@@ -200,26 +116,6 @@ impl WrapperDesign {
             }
         }
     }
-
-    /// Fills `out` with the slice-major care/value planes of `cube` under
-    /// this design: row `depth`, bit `k` is the symbol chain `k` receives
-    /// at scan-in cycle `depth` (don't-care for pad cycles), identical to
-    /// [`slice`](WrapperDesign::slice) symbol by symbol. This is
-    /// [`fill_chain_planes`](Self::fill_chain_planes) followed by a bit
-    /// transpose of both planes.
-    ///
-    /// `out` is reshaped in place; reusing one matrix across cubes makes
-    /// the fill allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a chain references a cube position at or beyond
-    /// `cube.len()`.
-    pub fn fill_slice_matrix(&self, cube: &TritVec, out: &mut SliceMatrix) {
-        self.fill_chain_planes(cube, &mut out.stage);
-        out.stage.care.transpose_into(&mut out.care);
-        out.stage.value.transpose_into(&mut out.value);
-    }
 }
 
 /// Copies `len` bits at bit `start` of both source planes to bit `at` of
@@ -250,7 +146,7 @@ fn copy_segment(dst: &mut [&mut [u64]; 2], at: usize, src: [&[u64]; 2], start: u
 mod tests {
     use super::*;
     use crate::design::design_wrapper;
-    use soc_model::{Core, CubeSynthesis, SplitMix64};
+    use soc_model::{Core, SplitMix64, Trit};
 
     fn hard_core(chains: Vec<u32>, inputs: u32) -> Core {
         Core::builder("h")
@@ -328,92 +224,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn matches_reference_slices_across_designs() {
-        let core = hard_core(vec![17, 9, 33, 5, 12], 7);
-        let cube = random_cube(core.scan_load_bits() as usize, 11);
-        let mut sm = SliceMatrix::new();
-        for m in [1u32, 2, 3, 5, 9, 12] {
-            let design = design_wrapper(&core, m);
-            design.fill_slice_matrix(&cube, &mut sm);
-            assert_eq!(sm.depths() as u64, design.scan_in_length(), "m={m}");
-            assert_eq!(sm.chains() as u32, design.chain_count(), "m={m}");
-            for depth in 0..design.scan_in_length() {
-                assert_eq!(
-                    sm.slice(depth as usize),
-                    design.slice(&cube, depth),
-                    "m={m} depth={depth}"
-                );
-            }
-            assert_eq!(sm.rows().len(), sm.depths());
-            for (depth, (care, value)) in sm.rows().enumerate() {
-                let bit = |words: &[u64], k: usize| words[k / 64] >> (k % 64) & 1 == 1;
-                let row: TritVec = (0..sm.chains())
-                    .map(|k| match (bit(care, k), bit(value, k)) {
-                        (false, _) => Trit::X,
-                        (true, v) => Trit::from_bit(v),
-                    })
-                    .collect();
-                assert_eq!(row, design.slice(&cube, depth as u64), "m={m} row {depth}");
-            }
-        }
-    }
-
-    #[test]
-    fn flexible_core_with_many_chains_matches_reference() {
-        let mut core = Core::builder("s")
-            .inputs(20)
-            .flexible_cells(700, 256)
-            .pattern_count(2)
-            .care_density(0.2)
-            .build()
-            .unwrap();
-        let ts = CubeSynthesis::new(0.2).synthesize(&core, 5);
-        core.attach_test_set(ts).unwrap();
-        let cube = core.test_set().unwrap().pattern(0).unwrap().clone();
-        let mut sm = SliceMatrix::new();
-        for m in [64u32, 100, 200] {
-            let design = design_wrapper(&core, m);
-            design.fill_slice_matrix(&cube, &mut sm);
-            for depth in [0, 1, design.scan_in_length() - 1] {
-                assert_eq!(
-                    sm.slice(depth as usize),
-                    design.slice(&cube, depth),
-                    "m={m}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn matrix_reuse_reshapes_cleanly() {
-        let core = hard_core(vec![30, 30], 2);
-        let cube = random_cube(core.scan_load_bits() as usize, 3);
-        let mut sm = SliceMatrix::new();
-        let wide = design_wrapper(&core, 4);
-        wide.fill_slice_matrix(&cube, &mut sm);
-        let narrow = design_wrapper(&core, 1);
-        narrow.fill_slice_matrix(&cube, &mut sm);
-        assert_eq!(sm.chains(), 1);
-        assert_eq!(sm.depths() as u64, narrow.scan_in_length());
-        for depth in 0..narrow.scan_in_length() {
-            assert_eq!(sm.slice(depth as usize), narrow.slice(&cube, depth));
-        }
-    }
-
-    #[test]
-    fn pad_cycles_read_as_dont_care() {
-        let core = hard_core(vec![8, 2], 0);
-        let design = design_wrapper(&core, 2);
-        let cube = random_cube(core.scan_load_bits() as usize, 9);
-        let mut sm = SliceMatrix::new();
-        design.fill_slice_matrix(&cube, &mut sm);
-        // The short chain pads at the deepest slices.
-        let deepest = sm.slice(sm.depths() - 1);
-        let reference = design.slice(&cube, design.scan_in_length() - 1);
-        assert_eq!(deepest, reference);
-        assert!(reference.iter().any(|t| t == Trit::X));
     }
 }

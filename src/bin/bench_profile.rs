@@ -21,14 +21,19 @@
 //! full plan); results are identical at any value, only the wall clock
 //! moves, and every JSON entry records the count it ran with.
 //!
-//! `--iters N` re-times entries whose first measurement lands under
-//! 100 ms individually N times and reports the minimum — short entries
-//! are the ones scheduler noise distorts, and min-of-N is the standard
-//! noise-robust statistic for them. Longer entries keep their averaged
-//! measurement.
+//! Every entry is timed pass by pass after one warm-up pass and reports
+//! its best pass (the minimum for time entries, the maximum for
+//! throughput entries), the standard noise-robust statistic. `--iters N`
+//! times every entry N times, whatever its first reading, so a run
+//! compares like with like against a committed baseline whatever this
+//! host's load; without it an entry runs its own pass count (1 or 3).
+//! Each entry also records its median and worst pass (`median_millis`/
+//! `max_millis`, or `median_designs_per_sec`/`min_designs_per_sec`) and
+//! its pass count, and the run records the host's
+//! `available_parallelism`.
 //!
 //! `--check BASELINE` compares this run's
-//! `tables_*`/`plan_*`/`fleet_*`/`soclint_*`/`dsan_*` entries
+//! `tables_*`/`plan_*`/`fleet_*`/`soclint_*`/`dsan_*`/`verify_*` entries
 //! (`GATED_PREFIXES`) against the most recent run in a committed
 //! `BENCH_profile.json` that records the same entry, and exits non-zero
 //! when any is more than 20% worse — the CI perf-regression gate. Each
@@ -68,7 +73,7 @@ const CHECK_TOLERANCE: f64 = 1.20;
 
 /// Name prefixes of the entries `--check` gates; every other entry is
 /// reported only.
-const GATED_PREFIXES: &[&str] = &["tables_", "plan_", "fleet_", "soclint_", "dsan_"];
+const GATED_PREFIXES: &[&str] = &["tables_", "plan_", "fleet_", "soclint_", "dsan_", "verify_"];
 
 /// Which way an entry's number is supposed to move.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -95,12 +100,23 @@ impl Direction {
             Direction::Higher => base / value,
         }
     }
+
+    /// Prefix of the key the worst pass is emitted under.
+    fn worst_keyword(self) -> &'static str {
+        match self {
+            Direction::Lower => "max",
+            Direction::Higher => "min",
+        }
+    }
 }
 
 struct Entry {
     name: &'static str,
-    /// Measured value in `unit`s.
+    /// Measured value in `unit`s: the best pass.
     value: f64,
+    /// Median and worst of the passes.
+    median: f64,
+    worst: f64,
     /// JSON key the value is emitted under (`millis`, `designs_per_sec`).
     unit: &'static str,
     direction: Direction,
@@ -108,60 +124,73 @@ struct Entry {
     workers: usize,
 }
 
+impl Entry {
+    /// Summarizes `samples`, one per pass (see the module docs).
+    fn from_samples(
+        name: &'static str,
+        mut samples: Vec<f64>,
+        unit: &'static str,
+        direction: Direction,
+        workers: usize,
+    ) -> Entry {
+        samples.sort_by(f64::total_cmp);
+        if direction == Direction::Higher {
+            samples.reverse();
+        }
+        let n = samples.len();
+        let median = if n % 2 == 1 {
+            samples[n / 2]
+        } else {
+            (samples[n / 2 - 1] + samples[n / 2]) / 2.0
+        };
+        Entry {
+            name,
+            value: samples[0],
+            median,
+            worst: samples[n - 1],
+            unit,
+            direction,
+            iters: n as u32,
+            workers,
+        }
+    }
+}
+
+/// Times `f` after one warm-up pass (lazily synthesized cubes and
+/// allocator warm-up stay out of the measurement): `best_of` passes when
+/// `--iters` gave one, else the entry's own `iters`.
 fn timed<F: FnMut()>(
     name: &'static str,
     iters: u32,
     workers: usize,
-    min_of: Option<u32>,
+    best_of: Option<u32>,
     mut f: F,
 ) -> Entry {
-    // One warm-up pass so lazily synthesized cubes and allocator warm-up
-    // don't pollute the first measurement.
     f();
-    // Measurement harness: timing the workload is the whole point here.
-    #[allow(clippy::disallowed_methods)]
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let mut millis = t0.elapsed().as_secs_f64() * 1e3 / f64::from(iters);
-    let mut reported_iters = iters;
-    // Short entries are dominated by scheduler noise; re-time them
-    // individually and keep the minimum (the least-disturbed observation).
-    // Eligibility is decided on the best observation so far, probed with
-    // one extra pass — a single scheduler stall during the batched loop
-    // must not disqualify a short entry from exactly the re-timing that
-    // would absorb it.
-    if let Some(n) = min_of.filter(|&n| n > 1) {
-        #[allow(clippy::disallowed_methods)]
-        let t = Instant::now();
-        f();
-        millis = millis.min(t.elapsed().as_secs_f64() * 1e3);
-        if millis < 100.0 {
-            for _ in 1..n {
-                #[allow(clippy::disallowed_methods)]
-                let t = Instant::now();
-                f();
-                millis = millis.min(t.elapsed().as_secs_f64() * 1e3);
-            }
-            reported_iters = n;
-        }
-    }
-    eprintln!("  {name}: {millis:.1} ms");
-    Entry {
-        name,
-        value: millis,
-        unit: "millis",
-        direction: Direction::Lower,
-        iters: reported_iters,
-        workers,
-    }
+    let samples = (0..best_of.unwrap_or(iters))
+        .map(|_| {
+            // Measurement harness: timing the workload is the whole point here.
+            #[allow(clippy::disallowed_methods)]
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    let e = Entry::from_samples(name, samples, "millis", Direction::Lower, workers);
+    eprintln!("  {name}: {:.1} ms", e.value);
+    e
 }
 
-/// Times one fleet batch run and reports its throughput (a
-/// higher-is-better entry). One warm-up pass, then the measured run; the
-/// summary's own elapsed clock is the measurement.
-fn fleet_entry(name: &'static str, manifest_text: &str, workers: usize) -> Entry {
+/// Times fleet batch runs and reports their throughput (a
+/// higher-is-better entry): one warm-up run, then `best_of` measured runs
+/// (one without `--iters`); each summary's own elapsed clock is the
+/// measurement.
+fn fleet_entry(
+    name: &'static str,
+    manifest_text: &str,
+    workers: usize,
+    best_of: Option<u32>,
+) -> Entry {
     let manifest = fleet::Manifest::parse(manifest_text).expect("fleet manifest");
     let opts = fleet::FleetOptions {
         workers,
@@ -169,20 +198,21 @@ fn fleet_entry(name: &'static str, manifest_text: &str, workers: usize) -> Entry
         ..Default::default()
     };
     let _ = fleet::run_fleet(&manifest, &opts);
-    let report = fleet::run_fleet(&manifest, &opts);
-    assert_eq!(report.summary.failed, 0, "fleet bench manifest must plan");
+    let mut split = (0, 0);
+    let samples = (0..best_of.unwrap_or(1))
+        .map(|_| {
+            let report = fleet::run_fleet(&manifest, &opts);
+            assert_eq!(report.summary.failed, 0, "fleet bench manifest must plan");
+            split = (report.summary.outer_workers, report.summary.inner_workers);
+            report.summary.designs_per_sec
+        })
+        .collect();
+    let e = Entry::from_samples(name, samples, "designs_per_sec", Direction::Higher, workers);
     eprintln!(
         "  {name}: {:.2} designs/sec ({} outer x {} inner)",
-        report.summary.designs_per_sec, report.summary.outer_workers, report.summary.inner_workers
+        e.value, split.0, split.1
     );
-    Entry {
-        name,
-        value: report.summary.designs_per_sec,
-        unit: "designs_per_sec",
-        direction: Direction::Higher,
-        iters: 1,
-        workers,
-    }
+    e
 }
 
 fn fast() -> DecisionConfig {
@@ -232,7 +262,7 @@ fn verify_soc_scalar(soc: &Soc) -> u64 {
     total
 }
 
-/// The same verification through the batched bit-parallel emulator.
+/// The same verification through the column encoder and decoder.
 fn verify_soc_packed(soc: &Soc) -> u64 {
     let mut total = 0u64;
     for core in soc.cores() {
@@ -352,7 +382,7 @@ fn parse_baseline(text: &str) -> Vec<BaselineEntry> {
 }
 
 /// The perf-regression gate behind `--check`: compares this run's
-/// `tables_*`/`plan_*`/`fleet_*`/`soclint_*`/`dsan_*` entries
+/// `tables_*`/`plan_*`/`fleet_*`/`soclint_*`/`dsan_*`/`verify_*` entries
 /// (`GATED_PREFIXES`) against the *latest* committed run that records
 /// the same entry name, each in its own direction.
 /// Returns the failure messages (empty = gate passes).
@@ -399,7 +429,7 @@ fn main() {
     let mut out: Option<String> = None;
     let mut smoke = false;
     let mut workers = 1usize;
-    let mut min_of: Option<u32> = None;
+    let mut best_of: Option<u32> = None;
     let mut check: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -422,7 +452,7 @@ fn main() {
                     .parse()
                     .expect("--iters needs a number");
                 assert!(n >= 1, "--iters needs at least 1");
-                min_of = Some(n);
+                best_of = Some(n);
             }
             "--check" => check = Some(args.next().expect("--check needs a baseline file")),
             other => {
@@ -449,27 +479,27 @@ fn main() {
     ] {
         let design = design_wrapper(core7, m);
         let code = SliceCode::for_chains(design.chain_count());
-        entries.push(timed(name, if smoke { 1 } else { 3 }, 1, min_of, || {
+        entries.push(timed(name, if smoke { 1 } else { 3 }, 1, best_of, || {
             let total: u64 = ts.iter().map(|c| cube_cost(code, &design, c)).sum();
             assert!(total > 0);
         }));
     }
 
     // Profile build of one industrial core at production fidelity.
-    entries.push(timed("profile_ckt7_w16", 1, 1, min_of, || {
+    entries.push(timed("profile_ckt7_w16", 1, 1, best_of, || {
         let p = CoreProfile::build(core7, &ProfileConfig::industrial(16));
         assert!(!p.entries().is_empty());
     }));
 
     // Decision tables over a whole SOC (the planner's table phase).
     let d695 = Design::D695.build_with_cubes(SEED);
-    entries.push(timed("tables_d695_w32", 1, 1, min_of, || {
+    entries.push(timed("tables_d695_w32", 1, 1, best_of, || {
         build_tables(&d695, 32, &fast());
     }));
 
     // Batched stream verification at smoke scale: the whole d695 test set
-    // replayed through the bit-parallel emulator.
-    entries.push(timed("verify_d695_packed", 1, 1, min_of, || {
+    // replayed through the column encoder and decoder.
+    entries.push(timed("verify_d695_packed", 1, 1, best_of, || {
         assert!(verify_soc_packed(&d695) > 0);
     }));
 
@@ -478,7 +508,7 @@ fn main() {
     // work of the replan loop's verification stage.
     let p34392 = Design::P34392.build_with_cubes(SEED);
     let points = compressed_points(&p34392, 24);
-    entries.push(timed("verify_p34392_w24_plan", 1, 1, min_of, || {
+    entries.push(timed("verify_p34392_w24_plan", 1, 1, best_of, || {
         let mut words = 0u64;
         for &(core, m) in &points {
             let core = &p34392.cores()[core];
@@ -494,16 +524,22 @@ fn main() {
     // is tracked in BENCH_profile.json like the planner kernels.
     let lint_root = workspace_root();
     let lint_iters = if smoke { 1 } else { 3 };
-    entries.push(timed("soclint_workspace_w1", lint_iters, 1, min_of, || {
-        let diags = soclint::lint_workspace_with(&lint_root, 1).expect("workspace scan");
-        assert!(diags.is_empty(), "workspace must lint clean: {diags:?}");
-    }));
+    entries.push(timed(
+        "soclint_workspace_w1",
+        lint_iters,
+        1,
+        best_of,
+        || {
+            let diags = soclint::lint_workspace_with(&lint_root, 1).expect("workspace scan");
+            assert!(diags.is_empty(), "workspace must lint clean: {diags:?}");
+        },
+    ));
     let lint_workers = workers.max(2);
     entries.push(timed(
         "soclint_workspace_par",
         lint_iters,
         lint_workers,
-        min_of,
+        best_of,
         || {
             let diags =
                 soclint::lint_workspace_with(&lint_root, lint_workers).expect("workspace scan");
@@ -526,7 +562,7 @@ fn main() {
         "soclint_workspace_cold",
         lint_iters,
         1,
-        min_of,
+        best_of,
         || {
             let _ = std::fs::remove_dir_all(&lint_cache);
             let report =
@@ -540,7 +576,7 @@ fn main() {
         "soclint_workspace_warm",
         lint_iters,
         1,
-        min_of,
+        best_of,
         || {
             let report =
                 soclint::lint_workspace_report(&lint_root, &lint_opts).expect("workspace scan");
@@ -553,7 +589,7 @@ fn main() {
     // Architecture search: the pruned hill-climb portfolio and the
     // multi-chain anneal over the d695 cost model.
     let cost_d695 = cost_model(&d695, 32);
-    entries.push(timed("arch_d695_w32", 3, workers, min_of, || {
+    entries.push(timed("arch_d695_w32", 3, workers, best_of, || {
         let opts = ArchitectureOptions {
             workers: Some(workers),
             ..Default::default()
@@ -561,7 +597,7 @@ fn main() {
         let a = optimize_architecture(&cost_d695, 32, &opts).unwrap();
         assert!(a.test_time > 0);
     }));
-    entries.push(timed("anneal_d695_w32", 3, workers, min_of, || {
+    entries.push(timed("anneal_d695_w32", 3, workers, best_of, || {
         let opts = AnnealOptions {
             chains: 4,
             workers: Some(workers),
@@ -574,19 +610,20 @@ fn main() {
     if !smoke {
         // The largest bundled SOC: p93791-class, 32 cores, ~98k scan FFs.
         let p93791 = Design::P93791.build_with_cubes(SEED);
-        entries.push(timed("tables_p93791_w24", 1, 1, min_of, || {
+        entries.push(timed("tables_p93791_w24", 1, 1, best_of, || {
             build_tables(&p93791, 24, &fast());
         }));
-        entries.push(timed("tables_p93791_w32_default", 1, 1, min_of, || {
+        entries.push(timed("tables_p93791_w32_default", 1, 1, best_of, || {
             build_tables(&p93791, 32, &DecisionConfig::default());
         }));
 
         // Full-stream verification of every p93791 core, scalar oracle vs
-        // batched emulator — the emulator's reason to exist is this ratio.
-        entries.push(timed("verify_p93791_scalar", 1, 1, min_of, || {
+        // column encoder and decoder — the column path's reason to exist is
+        // this ratio.
+        entries.push(timed("verify_p93791_scalar", 1, 1, best_of, || {
             assert!(verify_soc_scalar(&p93791) > 0);
         }));
-        entries.push(timed("verify_p93791_packed", 1, 1, min_of, || {
+        entries.push(timed("verify_p93791_packed", 1, 1, best_of, || {
             assert!(verify_soc_packed(&p93791) > 0);
         }));
 
@@ -603,13 +640,13 @@ fn main() {
         let control = PlanControl::default()
             .cache_profiles_in(&cache_root, "bench")
             .without_stream_verification();
-        entries.push(timed("tables_p93791_w32_incr_cold", 1, 1, min_of, || {
+        entries.push(timed("tables_p93791_w32_incr_cold", 1, 1, best_of, || {
             let _ = std::fs::remove_dir_all(&cache_root);
             let plan = planner.plan_with(&p93791, &req, &control).unwrap();
             assert!(plan.test_time > 0);
         }));
         // The cold closure's final run left the cache fully populated.
-        entries.push(timed("tables_p93791_w32_incr_warm", 1, 1, min_of, || {
+        entries.push(timed("tables_p93791_w32_incr_warm", 1, 1, best_of, || {
             let files = soc_tdc::planner::profile_cache_entries(&cache_root);
             assert!(!files.is_empty(), "cache populated");
             std::fs::remove_file(&files[0]).expect("dirty one core");
@@ -621,7 +658,7 @@ fn main() {
         // Anneal portfolio on the big SOC's cost model (the dominant
         // architecture-search workload).
         let cost_p = cost_model(&p93791, 32);
-        entries.push(timed("anneal_p93791_w32", 3, workers, min_of, || {
+        entries.push(timed("anneal_p93791_w32", 3, workers, best_of, || {
             let opts = AnnealOptions {
                 iterations: 4000,
                 chains: 4,
@@ -635,7 +672,7 @@ fn main() {
         // End-to-end plan on the industrial System1 (includes the default
         // plan-time stream verification, like any production plan).
         let system1 = Design::System1.build_with_cubes(SEED);
-        entries.push(timed("plan_system1_w32", 1, workers, min_of, || {
+        entries.push(timed("plan_system1_w32", 1, workers, best_of, || {
             let req = PlanRequest {
                 architecture: ArchitectureOptions {
                     workers: Some(workers),
@@ -657,7 +694,7 @@ fn main() {
         "dsan_overhead_disabled",
         if smoke { 1 } else { 3 },
         2,
-        min_of,
+        best_of,
         || {
             let pool = parpool::Pool::with_workers(2).labeled("bench-dsan");
             let mut total = 0u64;
@@ -677,28 +714,34 @@ fn main() {
             "fleet_smoke_w2",
             "design d695 widths=10,12 sample=4 mcand=4\n",
             2,
+            best_of,
         ));
     } else {
         const FLEET_SWEEP: &str = "design d695 widths=8..19 seeds=2008,2009 sample=8 mcand=8\n";
-        entries.push(fleet_entry("fleet_sweep_w1", FLEET_SWEEP, 1));
-        entries.push(fleet_entry("fleet_sweep_w4", FLEET_SWEEP, 4));
+        entries.push(fleet_entry("fleet_sweep_w1", FLEET_SWEEP, 1, best_of));
+        entries.push(fleet_entry("fleet_sweep_w4", FLEET_SWEEP, 4, best_of));
     }
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"suite\": \"profile-fastpath\",");
     let _ = writeln!(json, "  \"label\": \"{label}\",");
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let _ = writeln!(json, "  \"available_parallelism\": {cpus},");
     let _ = writeln!(json, "  \"entries\": [");
     for (i, e) in entries.iter().enumerate() {
         let comma = if i + 1 < entries.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{ \"name\": \"{}\", \"{}\": {:.2}, \"direction\": \"{}\", \"iters\": {}, \"workers\": {} }}{comma}",
+            "    {{ \"name\": \"{}\", \"{unit}\": {:.2}, \"median_{unit}\": {:.2}, \"{}_{unit}\": {:.2}, \"direction\": \"{}\", \"iters\": {}, \"workers\": {} }}{comma}",
             e.name,
-            e.unit,
             e.value,
+            e.median,
+            e.direction.worst_keyword(),
+            e.worst,
             e.direction.keyword(),
             e.iters,
-            e.workers
+            e.workers,
+            unit = e.unit,
         );
     }
     let _ = writeln!(json, "  ]");
@@ -733,14 +776,7 @@ mod tests {
         { \"name\": \"tables_x\", \"millis\": 50.0, \"iters\": 1, \"workers\": 1 }\n";
 
     fn entry(name: &'static str, value: f64, unit: &'static str, direction: Direction) -> Entry {
-        Entry {
-            name,
-            value,
-            unit,
-            direction,
-            iters: 1,
-            workers: 1,
-        }
+        Entry::from_samples(name, vec![value], unit, direction, 1)
     }
 
     #[test]
@@ -758,6 +794,36 @@ mod tests {
         assert_eq!(parsed[1].value, 10.0);
         assert_eq!(parsed[1].direction, Direction::Higher);
         assert_eq!(parsed[2].value, 50.0, "later runs appear later");
+    }
+
+    #[test]
+    fn spread_keys_do_not_shadow_the_gated_value() {
+        let text = "\
+            { \"name\": \"verify_v\", \"millis\": 4.00, \"median_millis\": 5.00, \"max_millis\": 9.00, \"direction\": \"lower\", \"iters\": 5, \"workers\": 1 },\n\
+            { \"name\": \"fleet_f\", \"designs_per_sec\": 30.00, \"median_designs_per_sec\": 20.00, \"min_designs_per_sec\": 10.00, \"direction\": \"higher\", \"iters\": 5, \"workers\": 2 }\n";
+        let parsed = parse_baseline(text);
+        assert_eq!(parsed.len(), 2);
+        assert_eq!(
+            (parsed[0].value, parsed[0].direction),
+            (4.0, Direction::Lower)
+        );
+        assert_eq!(
+            (parsed[1].value, parsed[1].direction),
+            (30.0, Direction::Higher)
+        );
+        // verify_* entries are gated.
+        let slow = entry("verify_v", 5.0, "millis", Direction::Lower);
+        assert_eq!(check_regressions(&[slow], text).len(), 1);
+    }
+
+    #[test]
+    fn samples_summarize_best_median_and_worst_in_each_direction() {
+        let times = vec![3.0, 1.0, 4.0, 10.0, 2.0];
+        let e = Entry::from_samples("t", times, "millis", Direction::Lower, 1);
+        assert_eq!((e.value, e.median, e.worst, e.iters), (1.0, 3.0, 10.0, 5));
+        let rates = vec![10.0, 40.0, 20.0, 30.0];
+        let e = Entry::from_samples("f", rates, "designs_per_sec", Direction::Higher, 2);
+        assert_eq!((e.value, e.median, e.worst), (40.0, 25.0, 10.0));
     }
 
     #[test]

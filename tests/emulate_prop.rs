@@ -1,9 +1,10 @@
-//! Property-based tests of the batched bit-parallel decompressor emulator
-//! and the incremental (fingerprint-keyed) profile rebuild path: for
-//! arbitrary cores, cube sets, decompressor widths, and encoder policies,
-//! the packed paths must be bit-identical to their scalar oracles —
-//! including which error a corrupted stream reports — and a warm
-//! incremental plan after a single-core edit must equal a cold rebuild.
+//! Property-based tests of plan-time stream verification on chain-major
+//! columns and of the incremental (fingerprint-keyed) profile rebuild
+//! path: for arbitrary cores, cube sets, decompressor widths, and encoder
+//! policies, the column encoder and decoder must be bit-identical to their
+//! scalar oracles — including which error a corrupted or reshaped stream
+//! reports — and a warm incremental plan after a single-core edit must
+//! equal a cold rebuild.
 
 #![forbid(unsafe_code)]
 
@@ -13,10 +14,10 @@ use soc_tdc::model::generator::synthesize_missing_test_sets;
 use soc_tdc::model::{Core, Soc, TestSet, Trit, TritVec};
 use soc_tdc::planner::{DecisionConfig, PlanControl, PlanRequest, Planner};
 use soc_tdc::selenc::{
-    encode_cube, encode_slices_packed, verify_cube_stream, verify_cubes_stream, verify_stream,
-    verify_stream_packed, verify_test_set_stream, Encoder, SliceCode, StreamReport,
+    encode_columns, encode_cube, verify_cube_stream, verify_cubes_stream, verify_stream,
+    verify_stream_columns, verify_test_set_stream, Codeword, Encoder, SliceCode, StreamReport,
 };
-use soc_tdc::wrapper::{design_wrapper, SliceMatrix};
+use soc_tdc::wrapper::{design_wrapper, ChainPlanes};
 
 /// Strategy: a ternary cube of the given length with ~`density` care bits.
 fn cube(len: usize, density: f64) -> impl Strategy<Value = TritVec> {
@@ -33,16 +34,11 @@ fn cube(len: usize, density: f64) -> impl Strategy<Value = TritVec> {
     .prop_map(|v| v.into_iter().collect())
 }
 
-/// A core plus a cube set. The core is a small hard core with arbitrary
-/// chain structure (at most 5 scan chains, so its wrappers have one-word
-/// slices) or a flexible-cell core whose wrapper takes up to ~200 chains,
-/// so slices span several words and group literals straddle word
-/// boundaries.
-fn core_and_cubes() -> impl Strategy<Value = (Core, Vec<TritVec>)> {
-    core_and_n_cubes(1..4)
-}
-
-/// [`core_and_cubes`] with the cube count drawn from `count`.
+/// A core plus a cube set of `count` cubes. The core is a small hard core
+/// with arbitrary chain structure (at most 5 scan chains, so its wrappers
+/// have one-word slices) or a flexible-cell core whose wrapper takes up to
+/// ~200 chains, so slices span several words and group literals straddle
+/// word boundaries.
 fn core_and_n_cubes(count: std::ops::Range<usize>) -> impl Strategy<Value = (Core, Vec<TritVec>)> {
     (
         proptest::collection::vec(1u32..40, 1..6), // scan chains of a hard core
@@ -79,6 +75,56 @@ fn chain_count() -> impl Strategy<Value = u32> {
     ]
 }
 
+/// A core whose scan depth at the drawn chain count `m` is exactly 63, 64,
+/// 65, 127, 128 or 129 — both sides of the one- and two-column edges — plus
+/// a cube set. Each of its at most `m` scan chains gets a wrapper chain of
+/// its own, and the first is the deepest.
+fn edge_depth_core(
+    count: std::ops::Range<usize>,
+) -> impl Strategy<Value = (Core, Vec<TritVec>, u32)> {
+    (
+        prop_oneof![
+            Just(63u32),
+            Just(64),
+            Just(65),
+            Just(127),
+            Just(128),
+            Just(129)
+        ],
+        prop_oneof![3 => 1u32..9, 1 => 62u32..67], // m
+        0u32..12,                                  // outputs
+        0.02f64..0.9,                              // care density
+    )
+        .prop_flat_map(move |(depth, m, outputs, density)| {
+            let count = count.clone();
+            proptest::collection::vec(1..=depth, 0..m as usize).prop_flat_map(move |rest| {
+                let mut chains = vec![depth];
+                chains.extend(rest);
+                let core = Core::builder("edge")
+                    .outputs(outputs)
+                    .fixed_chains(chains)
+                    .pattern_count(1)
+                    .build()
+                    .expect("valid core");
+                assert_eq!(design_wrapper(&core, m).scan_in_length(), u64::from(depth));
+                let len = core.scan_load_bits() as usize;
+                proptest::collection::vec(cube(len, density), count.clone())
+                    .prop_map(move |cs| (core.clone(), cs, m))
+            })
+        })
+}
+
+/// A core, a cube set of `count` cubes, and a decompressor chain count:
+/// [`core_and_n_cubes`] at a drawn [`chain_count`], or an
+/// [`edge_depth_core`].
+fn shaped(count: std::ops::Range<usize>) -> impl Strategy<Value = (Core, Vec<TritVec>, u32)> {
+    prop_oneof![
+        3 => (core_and_n_cubes(count.clone()), chain_count())
+            .prop_map(|((core, cubes), m)| (core, cubes, m)),
+        1 => edge_depth_core(count),
+    ]
+}
+
 /// Per-core spec for the incremental-rebuild property: chain lengths and
 /// a synthesized pattern count.
 type CoreSpec = (Vec<u32>, u32, u32, u32);
@@ -112,18 +158,17 @@ fn small_decisions() -> DecisionConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The packed slice emitter is bit-identical to the scalar encoder for
-    /// both encoder policies (group copy on and off).
+    /// The column encoder is bit-identical to the scalar encoder for both
+    /// encoder policies (group copy on and off).
     #[test]
     fn packed_emitter_matches_scalar_encoder(
-        (core, cubes) in core_and_cubes(),
-        m in chain_count(),
+        (core, cubes, m) in shaped(1..4),
     ) {
         let design = design_wrapper(&core, m);
         let code = SliceCode::for_chains(design.chain_count());
-        let mut mat = SliceMatrix::new();
+        let mut planes = ChainPlanes::new();
         for cube in &cubes {
-            design.fill_slice_matrix(cube, &mut mat);
+            design.fill_chain_planes(cube, &mut planes);
             for group_copy in [true, false] {
                 let enc = if group_copy {
                     Encoder::new(code)
@@ -131,19 +176,18 @@ proptest! {
                     Encoder::single_bit_only(code)
                 };
                 let scalar = encode_cube(&enc, &design, cube);
-                let mut packed = Vec::new();
-                encode_slices_packed(code, group_copy, &mat, &mut packed);
-                prop_assert_eq!(packed, scalar, "group_copy={}", group_copy);
+                let mut columns = Vec::new();
+                encode_columns(code, group_copy, &planes, &mut columns);
+                prop_assert_eq!(columns, scalar, "group_copy={}", group_copy);
             }
         }
     }
 
-    /// On valid streams the packed verifier accepts exactly when the scalar
-    /// oracle does, and reports the true codeword count.
+    /// On valid streams the column verifier accepts exactly when the
+    /// scalar oracle does, and reports the true codeword count.
     #[test]
     fn packed_verifier_accepts_valid_streams(
-        (core, cubes) in core_and_cubes(),
-        m in chain_count(),
+        (core, cubes, m) in shaped(1..4),
     ) {
         let design = design_wrapper(&core, m);
         let code = SliceCode::for_chains(design.chain_count());
@@ -152,7 +196,7 @@ proptest! {
             let words = encode_cube(&enc, &design, cube);
             let expected: Vec<TritVec> = design.slices(cube).collect();
             prop_assert_eq!(verify_stream(code, words.iter().copied(), &expected), Ok(()));
-            let n = verify_cube_stream(&design, cube).expect("packed path verifies");
+            let n = verify_cube_stream(&design, cube).expect("column path verifies");
             prop_assert_eq!(n, words.len() as u64);
         }
     }
@@ -163,8 +207,7 @@ proptest! {
     /// verification into pattern runs neither drops nor double-counts work.
     #[test]
     fn chunked_verification_sums_to_the_whole_test_set(
-        (core, cubes) in core_and_n_cubes(1..12),
-        m in chain_count(),
+        (core, cubes, m) in shaped(1..12),
         cuts in proptest::collection::vec(any::<bool>(), 12),
     ) {
         let design = design_wrapper(&core, m);
@@ -199,8 +242,7 @@ proptest! {
     /// of the contract).
     #[test]
     fn packed_verifier_matches_scalar_on_corrupted_streams(
-        (core, cubes) in core_and_cubes(),
-        m in chain_count(),
+        (core, cubes, m) in shaped(1..4),
         pick in 0usize..1024,
         kind in 0u8..3,
         mask in 1u32..u32::MAX,
@@ -223,10 +265,49 @@ proptest! {
             }
             let expected: Vec<TritVec> = design.slices(cube).collect();
             let scalar = verify_stream(code, words.iter().copied(), &expected);
-            let mut mat = SliceMatrix::new();
-            design.fill_slice_matrix(cube, &mut mat);
-            let packed = verify_stream_packed(code, words.iter().copied(), &mat);
-            prop_assert_eq!(scalar, packed);
+            let mut planes = ChainPlanes::new();
+            design.fill_chain_planes(cube, &mut planes);
+            let columns = verify_stream_columns(code, words.iter().copied(), &planes);
+            prop_assert_eq!(scalar, columns);
+        }
+    }
+
+    /// Reshaping a valid stream — cutting it at any word, dropping one
+    /// word, appending one empty slice, or appending 65 empty slices, which
+    /// decode past the planes' last column — gets the scalar oracle's exact
+    /// verdict from the column verifier.
+    #[test]
+    fn column_verifier_matches_scalar_on_reshaped_streams(
+        (core, cubes, m) in shaped(1..4),
+        pick in 0usize..1024,
+        kind in 0u8..4,
+        fill: bool,
+    ) {
+        let design = design_wrapper(&core, m);
+        let code = SliceCode::for_chains(design.chain_count());
+        let enc = Encoder::new(code);
+        let empty = Codeword {
+            mode: fill,
+            last: true,
+            data: code.chains(),
+        };
+        for cube in &cubes {
+            let mut words = encode_cube(&enc, &design, cube);
+            let i = pick % (words.len() + 1);
+            match kind {
+                0 => words.truncate(i),
+                1 => {
+                    words.remove(i.min(words.len() - 1));
+                }
+                2 => words.push(empty),
+                _ => words.extend(std::iter::repeat_n(empty, 65)),
+            }
+            let expected: Vec<TritVec> = design.slices(cube).collect();
+            let scalar = verify_stream(code, words.iter().copied(), &expected);
+            let mut planes = ChainPlanes::new();
+            design.fill_chain_planes(cube, &mut planes);
+            let columns = verify_stream_columns(code, words.iter().copied(), &planes);
+            prop_assert_eq!(scalar, columns, "kind {}", kind);
         }
     }
 }
