@@ -9,13 +9,21 @@
 //! its best incumbent instead of running forever. Tokens are cheap to
 //! clone (an `Arc` plus a copied deadline) and safe to share across the
 //! planner's worker threads.
+//!
+//! The crate also holds the workspace's caching substrate: the bounded
+//! in-memory LRU ([`BoundedCache`]) and the on-disk [`Store`] under the
+//! planner's profile cache and soclint's lint cache, with the atomic
+//! writer, evidence-keeping quarantine and FNV-1a hash every persistent
+//! file goes through.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod bounded;
+pub mod store;
 
 pub use bounded::{BoundedCache, CacheLimits, CacheStats};
+pub use store::{fnv1a, quarantine, write_atomic, Lookup, Store, FNV_OFFSET};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -72,8 +72,8 @@ pub use emulate::{
 pub use encoder::Encoder;
 pub use integrity::{verify_stream, StreamError};
 pub use lut::{
-    core_fingerprint, fnv1a, profile_entry_for_width, CoreProfile, Interrupted, ProfileConfig,
-    ProfileCsvError, ProfileEntry, FNV_OFFSET,
+    core_fingerprint, profile_entry_for_width, CoreProfile, Interrupted, ProfileConfig,
+    ProfileCsvError, ProfileEntry,
 };
 pub use memo::{EvalCache, DEFAULT_EVAL_BYTES, DEFAULT_EVAL_ENTRIES};
 pub use rtl::{generate_testbench, generate_verilog};

@@ -11,6 +11,7 @@
 
 use std::fmt;
 
+use robust::{fnv1a, FNV_OFFSET};
 use soc_model::Core;
 
 use crate::code::SliceCode;
@@ -556,23 +557,6 @@ impl fmt::Display for ProfileCsvError {
 }
 
 impl std::error::Error for ProfileCsvError {}
-
-/// FNV-1a 64-bit over `bytes`, continuing from `acc`. Seed the first call
-/// with [`FNV_OFFSET`]. This is the deterministic (machine- and
-/// run-independent) hash every cache key and integrity trailer in the
-/// workspace is built from — hash-collection hashers are banned by the
-/// determinism contract, this is the sanctioned replacement.
-pub fn fnv1a(acc: u64, bytes: &[u8]) -> u64 {
-    let mut h = acc;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// FNV-1a offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Content fingerprint of a core: a 64-bit FNV-1a digest over its name,
 /// terminal/scan geometry, and the care/value planes of every attached

@@ -14,7 +14,7 @@
 //!   quarantine/        corrupt files moved aside during recovery
 //! ```
 //!
-//! All writes are atomic (write to `.tmp`, rename into place) and a plan
+//! All writes are atomic (a unique temp file, renamed into place) and a plan
 //! request is journaled into `inflight/` *before* planning starts, so a
 //! crash at any instant leaves either a completed artifact or a journaled
 //! request — never a half-written one. [`SessionStore::recover`] walks the
@@ -157,11 +157,10 @@ pub fn valid_name(name: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '.')
 }
 
-/// Atomic write: `.tmp` next to the target, then rename into place.
+/// Atomic write ([`robust::write_atomic`]: a unique temp name next to the
+/// target, then a rename into place).
 fn write_atomic(path: &Path, contents: &str) -> Result<(), ServeError> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, contents).map_err(|e| ServeError::Io(e.to_string()))?;
-    std::fs::rename(&tmp, path).map_err(|e| ServeError::Io(e.to_string()))
+    robust::write_atomic(path, contents.as_bytes()).map_err(|e| ServeError::Io(e.to_string()))
 }
 
 impl SessionStore {
@@ -196,22 +195,12 @@ impl SessionStore {
         self.root.join("sessions").join(name)
     }
 
-    /// Moves `path` into `quarantine/` under the first free `NNNN-<name>`,
-    /// so no earlier run's evidence is replaced; best-effort. Returns the
-    /// quarantined file's display name when the move happened (never for
-    /// a missing file).
+    /// Moves `path` into `quarantine/` under the first free `NNNN-<name>`
+    /// ([`robust::quarantine`]), so no earlier run's evidence is replaced;
+    /// best-effort. Returns the quarantined file's display name when the
+    /// move happened (never for a missing file).
     fn quarantine(&self, path: &Path) -> Option<String> {
-        let base = path.file_name()?.to_string_lossy().into_owned();
-        let dir = self.root.join("quarantine");
-        let name = (0u32..)
-            .map(|seq| format!("{seq:04}-{base}"))
-            .find(|name| !dir.join(name).exists())?;
-        if std::fs::rename(path, dir.join(&name)).is_ok() {
-            Some(name)
-        } else {
-            let _ = std::fs::remove_file(path);
-            None
-        }
+        robust::quarantine(path, &self.root.join("quarantine"))
     }
 
     /// Creates a session directory, persisting its descriptor and (for

@@ -3,20 +3,24 @@
 //! The per-file stage ([`crate::facts::analyze_file`]) is the expensive
 //! part of a workspace run — lexing, parsing, and the taint walk. Its
 //! result depends only on the file's path and contents, so it is cached
-//! as one artifact per file, keyed by an FNV-1a content fingerprint
-//! (mirroring the planner's profile cache). The global fixpoints in
-//! [`crate::graph`] are cheap and re-run every time over the full fact
-//! set, which is what makes the "edited file plus its call-graph
-//! neighborhood" re-analysis sound: the neighborhood is *always*
-//! re-analyzed, from cached facts.
+//! as one artifact per file in a [`robust::Store`] (the planner's profile
+//! cache uses the same store), keyed by the path and an FNV-1a content
+//! fingerprint. The global fixpoints in [`crate::graph`] are cheap and
+//! re-run every time over the full fact set, which is what makes the
+//! "edited file plus its call-graph neighborhood" re-analysis sound: the
+//! neighborhood is *always* re-analyzed, from cached facts.
 //!
 //! The artifact is a versioned, line-based text format (tab-separated
-//! records, escaped fields). Any anomaly — bad header, short record,
-//! unparsable number — is a cache miss, never an error: a corrupt cache
-//! can cost time, not correctness. Writes are atomic (`tmp` + rename) so
-//! concurrent runs see either the old or the new artifact.
+//! records, escaped fields). The store checksums every artifact, so a
+//! flipped byte or a truncation is quarantined and re-analyzed; any
+//! other anomaly — bad header, short record, unparsable number — is a
+//! miss too, never an error: a corrupt cache can cost time, not
+//! correctness. Writes are atomic and the store's caps evict the oldest
+//! artifacts, so older contents of an edited file age out.
 
 use std::path::Path;
+
+use robust::{Lookup, Store};
 
 use crate::facts::{
     ArgFlow, CallFact, FileAnalysis, FileFacts, FnFact, GlobalAllows, LoopFact, LoopKind,
@@ -28,23 +32,11 @@ use crate::rules::Diagnostic;
 /// analysis semantics change — a stale-version artifact is a miss.
 const HEADER: &str = "soclint-cache v2";
 
-/// FNV-1a 64-bit over the file contents.
-fn fingerprint(source: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in source.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Artifact file name: sanitized path prefix + content fingerprint.
-fn artifact_name(rel_path: &str, source: &str) -> String {
-    let safe: String = rel_path
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    format!("{safe}-{:016x}.lint", fingerprint(source))
+/// Store key of an artifact: the content fingerprint (which also picks
+/// the store shard) and the entry name, the path plus that fingerprint.
+fn artifact_key(rel_path: &str, source: &str) -> (u64, String) {
+    let fingerprint = robust::fnv1a(robust::FNV_OFFSET, source.as_bytes());
+    (fingerprint, format!("{rel_path}-{fingerprint:016x}.lint"))
 }
 
 fn esc(s: &str) -> String {
@@ -330,44 +322,20 @@ fn parse_artifact(text: &str, expect_path: &str) -> Option<FileAnalysis> {
 }
 
 /// Loads the cached analysis for (`rel_path`, `source`); `None` on any
-/// miss (absent, stale version, corrupt, path mismatch).
+/// miss (absent, corrupt, stale version, path mismatch).
 pub fn load(dir: &Path, rel_path: &str, source: &str) -> Option<FileAnalysis> {
-    let text = std::fs::read_to_string(dir.join(artifact_name(rel_path, source))).ok()?;
-    parse_artifact(&text, rel_path)
+    let (fingerprint, name) = artifact_key(rel_path, source);
+    let Lookup::Hit(bytes) = Store::new(dir).get(fingerprint, &name) else {
+        return None;
+    };
+    parse_artifact(std::str::from_utf8(&bytes).ok()?, rel_path)
 }
 
-/// Stores the analysis, atomically, evicting artifacts for older
-/// contents of the same path. All I/O failures are silently ignored —
-/// caching is best-effort.
+/// Stores the analysis. All I/O failures are silently ignored — caching
+/// is best-effort.
 pub fn store(dir: &Path, rel_path: &str, source: &str, analysis: &FileAnalysis) {
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let name = artifact_name(rel_path, source);
-    // Evict stale fingerprints for this path so the cache dir doesn't
-    // grow with edit history.
-    let prefix: String = rel_path
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if let Some(existing) = entry.file_name().to_str() {
-                if existing != name
-                    && existing.ends_with(".lint")
-                    && existing
-                        .strip_prefix(&prefix)
-                        .is_some_and(|rest| rest.len() == 22 && rest.starts_with('-'))
-                {
-                    let _ = std::fs::remove_file(entry.path());
-                }
-            }
-        }
-    }
-    let tmp = dir.join(format!("{name}.tmp"));
-    if std::fs::write(&tmp, render(analysis)).is_ok() {
-        let _ = std::fs::rename(&tmp, dir.join(name));
-    }
+    let (fingerprint, name) = artifact_key(rel_path, source);
+    Store::new(dir).put(fingerprint, &name, render(analysis).as_bytes());
 }
 
 #[cfg(test)]
@@ -414,17 +382,17 @@ mod tests {
         store(&dir, "crates/tdcsoc/src/planfile.rs", SRC, &a);
         let hit = load(&dir, "crates/tdcsoc/src/planfile.rs", SRC).expect("warm hit");
         assert_eq!(hit, a);
-        // Edited contents miss; storing them evicts the old artifact.
+        // Edited contents miss, then hit once stored.
         let edited = format!("{SRC}// trailing comment\n");
         assert!(load(&dir, "crates/tdcsoc/src/planfile.rs", &edited).is_none());
         let b = analyze_file("crates/tdcsoc/src/planfile.rs", &edited);
         store(&dir, "crates/tdcsoc/src/planfile.rs", &edited, &b);
-        assert!(
-            load(&dir, "crates/tdcsoc/src/planfile.rs", SRC).is_none(),
-            "old fingerprint evicted"
+        assert_eq!(
+            load(&dir, "crates/tdcsoc/src/planfile.rs", &edited),
+            Some(b)
         );
-        let count = std::fs::read_dir(&dir).expect("dir").count();
-        assert_eq!(count, 1, "one artifact per path");
+        // Another path with the same contents is another artifact.
+        assert!(load(&dir, "crates/tdcsoc/src/vectors.rs", SRC).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -38,7 +38,6 @@ pub mod parse;
 pub mod rules;
 pub mod sarif;
 pub mod scope;
-pub mod sha;
 pub mod taint;
 
 use std::path::{Path, PathBuf};

@@ -47,6 +47,8 @@ pub const UNTRUSTED_PARSER_FILES: &[&str] = &[
     "crates/serve/src/json.rs",
     "crates/serve/src/http.rs",
     "crates/fleet/src/manifest.rs",
+    // Parses entry headers and shard journals read back from disk.
+    "crates/robust/src/store.rs",
 ];
 
 /// Crates that build or submit `parpool` job closures; the closure-capture

@@ -11,7 +11,6 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use soclint::sha::sha256_hex;
 use soclint::{
     lint_workspace_report, to_json, LintOptions, RULE_DESCRIPTIONS, RULE_IDS, WORKSPACE_RULE_IDS,
 };
@@ -77,10 +76,10 @@ fn write_mini_workspace(root: &Path) {
     }
 }
 
-fn report_sha(root: &Path, opts: &LintOptions) -> (String, usize, usize, usize) {
+fn report_json(root: &Path, opts: &LintOptions) -> (String, usize, usize, usize) {
     let report = lint_workspace_report(root, opts).expect("workspace walk");
     (
-        sha256_hex(to_json(&report.diags).as_bytes()),
+        to_json(&report.diags),
         report.files,
         report.cache_hits,
         report.reanalyzed,
@@ -102,11 +101,11 @@ fn warm_run_reanalyzes_under_twenty_percent_and_matches_cold() {
     };
 
     // First run populates the cache from nothing.
-    let (first, files, hits0, re0) = report_sha(ws.path(), &cached);
+    let (first, files, hits0, re0) = report_json(ws.path(), &cached);
     assert_eq!((hits0, re0), (0, files), "empty cache means all misses");
 
     // Unedited warm run: everything hits, nothing re-analyzed.
-    let (warm, _, hits1, re1) = report_sha(ws.path(), &cached);
+    let (warm, _, hits1, re1) = report_json(ws.path(), &cached);
     assert_eq!((hits1, re1), (files, 0), "warm run must be all hits");
     assert_eq!(warm, first, "cache must not change the report");
 
@@ -117,15 +116,58 @@ fn warm_run_reanalyzes_under_twenty_percent_and_matches_cold() {
     body.push_str("pub fn extra(v: &[u64]) -> usize {\n    v.len()\n}\n");
     fs::write(&edited, body).unwrap();
 
-    let (warm2, files2, hits2, re2) = report_sha(ws.path(), &cached);
+    let (warm2, files2, hits2, re2) = report_json(ws.path(), &cached);
     assert_eq!(re2, 1, "exactly the edited file is re-analyzed");
     assert_eq!(hits2, files2 - 1);
     assert!(
         (re2 as f64) < 0.20 * files2 as f64,
         "warm run re-analyzed {re2}/{files2} files"
     );
-    let (cold2, ..) = report_sha(ws.path(), &cold_opts);
-    assert_eq!(warm2, cold2, "warm report must be sha-identical to cold");
+    let (cold2, ..) = report_json(ws.path(), &cold_opts);
+    assert_eq!(warm2, cold2, "warm report must be byte-identical to cold");
+}
+
+/// A flipped digit in one cached artifact is caught by the store's
+/// checksum: that file is re-analyzed, the artifact is quarantined, and
+/// the report equals the cold run's instead of carrying the flipped line.
+#[test]
+fn a_corrupt_artifact_is_reanalyzed_and_the_report_matches_cold() {
+    let ws = Scratch::new("corrupt");
+    write_mini_workspace(ws.path());
+    // A crate root without the lint header: one finding, at line 1.
+    let lib = ws.path().join("crates/bare/src/lib.rs");
+    fs::create_dir_all(lib.parent().unwrap()).unwrap();
+    fs::write(&lib, "pub fn bare() {}\n").unwrap();
+    let cache = ws.path().join("cache");
+    let cached = LintOptions {
+        workers: 1,
+        cache_dir: Some(cache.clone()),
+    };
+    let (cold, files, ..) = report_json(ws.path(), &cached);
+    assert!(
+        cold.contains(r#""line": 1, "rule": "deny-header""#),
+        "{cold}"
+    );
+
+    let store = robust::Store::new(&cache);
+    let artifact = store
+        .entries()
+        .into_iter()
+        .find(|p| p.to_string_lossy().contains("crates_bare_src_lib.rs"))
+        .expect("the bare crate root has an artifact");
+    let text = fs::read_to_string(&artifact).unwrap();
+    let flipped = text.replacen("\t1\tdeny-header", "\t7\tdeny-header", 1);
+    assert_ne!(flipped, text, "the artifact records the finding's line");
+    fs::write(&artifact, flipped).unwrap();
+
+    let (warm, _, hits, reanalyzed) = report_json(ws.path(), &cached);
+    assert_eq!(
+        (hits, reanalyzed),
+        (files - 1, 1),
+        "only the corrupt file re-runs"
+    );
+    assert_eq!(warm, cold, "a corrupt artifact must not change the report");
+    assert_eq!(store.quarantined().len(), 1);
 }
 
 #[test]
@@ -136,17 +178,17 @@ fn worker_count_never_changes_the_report() {
         .parent()
         .and_then(Path::parent)
         .expect("workspace root");
-    let mut shas = Vec::new();
+    let mut reports = Vec::new();
     for workers in [1usize, 2, 4] {
         let opts = LintOptions {
             workers,
             cache_dir: None,
         };
         let report = lint_workspace_report(root, &opts).expect("workspace walk");
-        shas.push((workers, sha256_hex(to_json(&report.diags).as_bytes())));
+        reports.push(to_json(&report.diags));
     }
-    assert_eq!(shas[0].1, shas[1].1, "workers=1 vs workers=2 differ");
-    assert_eq!(shas[0].1, shas[2].1, "workers=1 vs workers=4 differ");
+    assert_eq!(reports[0], reports[1], "workers=1 vs workers=2 differ");
+    assert_eq!(reports[0], reports[2], "workers=1 vs workers=4 differ");
 }
 
 #[test]

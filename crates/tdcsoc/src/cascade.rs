@@ -66,11 +66,11 @@ pub struct PlanControl {
     /// (robustness over strictness — a bad checkpoint must never make a
     /// plan worse than planning from scratch).
     pub resume: Option<Plan>,
-    /// When set, per-core decision profiles are cached as CSV files in
-    /// this directory: a planning run re-reads matching profiles instead
-    /// of rebuilding them (the dominant cost of a plan) and writes any it
-    /// had to build. All cache traffic is best-effort — an unreadable or
-    /// stale file simply means rebuilding, never a worse plan.
+    /// When set, per-core decision profiles are cached in this on-disk
+    /// store: a planning run re-reads matching profiles instead of
+    /// rebuilding them (the dominant cost of a plan) and writes any it had
+    /// to build. All cache traffic is best-effort — an unreadable, corrupt
+    /// or stale entry simply means rebuilding, never a worse plan.
     pub profile_cache: Option<ProfileCacheConfig>,
     /// Opts out of stream verification. By default (`false`) every
     /// selective-encoding operating point a finished plan instantiates is
@@ -82,44 +82,26 @@ pub struct PlanControl {
     pub skip_stream_verification: bool,
 }
 
-/// Where [`PlanControl::profile_cache`] keeps per-core profile CSVs, and
-/// how large it may grow.
+/// Where [`PlanControl::profile_cache`] keeps per-core profiles: one
+/// [`robust::Store`] entry per core, under the store's constant caps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileCacheConfig {
     /// Cache directory (created on demand).
     pub dir: PathBuf,
     /// Distinguishes incompatible profile generations (design, pattern
-    /// seed, sampling parameters); part of every cache file name, so
+    /// seed, sampling parameters); part of every entry's key, so
     /// changing any generation input misses cleanly instead of reusing a
     /// wrong profile.
     pub tag: String,
-    /// Entry (file-count) and byte caps for the on-disk cache, divided
-    /// evenly across its 16 fingerprint-keyed shards. After each write
-    /// the oldest cached profiles in the written shard — by write order,
-    /// tracked in a per-shard index journal, never by file mtime — are
-    /// deleted until that shard's caps hold again.
-    pub limits: robust::CacheLimits,
 }
 
 impl ProfileCacheConfig {
-    /// Default file-count cap for an on-disk profile cache.
-    pub const DEFAULT_FILES: usize = 4096;
-    /// Default byte cap for an on-disk profile cache (64 MiB).
-    pub const DEFAULT_BYTES: usize = 64 << 20;
-
-    /// A cache under `dir` keyed by `tag` with the default caps.
+    /// A cache under `dir` keyed by `tag`.
     pub fn new(dir: impl Into<PathBuf>, tag: impl Into<String>) -> Self {
         ProfileCacheConfig {
             dir: dir.into(),
             tag: tag.into(),
-            limits: robust::CacheLimits::new(Self::DEFAULT_FILES, Self::DEFAULT_BYTES),
         }
-    }
-
-    /// Overrides the file-count/byte caps.
-    pub fn with_limits(mut self, limits: robust::CacheLimits) -> Self {
-        self.limits = limits;
-        self
     }
 }
 
@@ -144,8 +126,7 @@ impl PlanControl {
         self
     }
 
-    /// Caches per-core profiles as CSVs under `dir`, keyed by `tag`, with
-    /// the default size caps.
+    /// Caches per-core profiles under `dir`, keyed by `tag`.
     pub fn cache_profiles_in(mut self, dir: impl Into<PathBuf>, tag: impl Into<String>) -> Self {
         self.profile_cache = Some(ProfileCacheConfig::new(dir, tag));
         self

@@ -707,101 +707,41 @@ fn assemble_plan(
     }
 }
 
-/// Best-effort atomic checkpoint write: serialize next to the target and
-/// rename into place, so a reader never sees a half-written plan. I/O
-/// failures are swallowed — checkpointing must never fail the plan.
+/// Best-effort atomic checkpoint write ([`robust::write_atomic`]), so a
+/// reader never sees a half-written plan. I/O failures are swallowed —
+/// checkpointing must never fail the plan.
 fn write_checkpoint(path: &Path, plan: &Plan) {
-    let text = crate::planfile::write_plan(plan);
-    let tmp = path.with_extension("tmp");
-    if std::fs::write(&tmp, text).is_ok() {
-        let _ = std::fs::rename(&tmp, path);
-    }
-}
-
-/// Shard count of the on-disk profile cache. Entries are distributed
-/// over `shard-0 … shard-f` subdirectories by the leading hex nibble of
-/// their content stamp, so concurrent writers (fleet workers, multiple
-/// processes sharing one cache root) rarely touch the same shard: each
-/// shard has its own write journal and cap enforcement, and cross-shard
-/// writes never contend on shared metadata at all.
-const CACHE_SHARDS: usize = 16;
-
-/// The shard subdirectory a content stamp lands in (its top hex nibble).
-fn shard_dir(cache: &ProfileCacheConfig, stamp: u64) -> std::path::PathBuf {
-    cache.dir.join(format!("shard-{:x}", stamp >> 60))
-}
-
-/// The whole-cache [`ProfileCacheConfig::limits`] scaled down to one
-/// shard (each shard is capped independently; at least one entry per
-/// shard so a tiny cap still caches something).
-fn per_shard_limits(limits: robust::CacheLimits) -> robust::CacheLimits {
-    robust::CacheLimits::new(
-        (limits.max_entries / CACHE_SHARDS).max(1),
-        (limits.max_bytes / CACHE_SHARDS).max(1),
-    )
+    let _ = robust::write_atomic(path, crate::planfile::write_plan(plan).as_bytes());
 }
 
 /// Every cached profile entry under a cache root, across all shards,
-/// sorted by path. Test and tooling surface for the sharded layout — the
-/// planner itself always addresses entries directly by stamp.
+/// sorted by path. Test and tooling surface for the store's layout — the
+/// planner itself always addresses entries by key.
 pub fn profile_cache_entries(root: &Path) -> Vec<std::path::PathBuf> {
-    let mut entries = Vec::new();
-    let Ok(shards) = std::fs::read_dir(root) else {
-        return entries;
-    };
-    for shard in shards.flatten() {
-        if !shard.file_name().to_string_lossy().starts_with("shard-") {
-            continue;
-        }
-        let Ok(files) = std::fs::read_dir(shard.path()) else {
-            continue;
-        };
-        entries.extend(
-            files
-                .flatten()
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|x| x == "csv")),
-        );
-    }
-    entries.sort();
-    entries
+    robust::Store::new(root).entries()
 }
 
 /// Every quarantined profile file under a cache root (each shard keeps
 /// its own `quarantine/` subdirectory), sorted by path.
 pub fn quarantined_profiles(root: &Path) -> Vec<std::path::PathBuf> {
-    let mut files = Vec::new();
-    let Ok(shards) = std::fs::read_dir(root) else {
-        return files;
-    };
-    for shard in shards.flatten() {
-        if !shard.file_name().to_string_lossy().starts_with("shard-") {
-            continue;
-        }
-        let Ok(entries) = std::fs::read_dir(shard.path().join("quarantine")) else {
-            continue;
-        };
-        files.extend(entries.flatten().map(|e| e.path()));
-    }
-    files.sort();
-    files
+    robust::Store::new(root).quarantined()
 }
 
-/// Cache file for one core's profile. Every input that shapes the profile
-/// is part of the name: the caller's generation tag, the core's *content
-/// fingerprint* ([`selenc::core_fingerprint`] — name, geometry, cubes),
-/// and both sampling knobs, so editing a core or changing the sampling
-/// misses cleanly instead of reusing a stale profile. The width budget is
-/// deliberately *not* in the name: the file's `# cover` header records how
-/// many widths the stored profile spans, so one entry serves every budget
-/// up to that bound and a wider budget extends the same entry in place.
-/// The file lives in the stamp's [`shard_dir`].
-fn profile_cache_file(
+/// Store entry name of one core's profile. Every input that shapes the
+/// profile is part of the key: the caller's generation tag, the core's
+/// *content stamp* (its fingerprint, [`selenc::core_fingerprint`] — name,
+/// geometry, cubes — which also picks the store shard), and both sampling
+/// knobs, so editing a core or changing the sampling misses cleanly
+/// instead of reusing a stale profile. The width budget is deliberately
+/// *not* in the key: the entry's `# cover` line records how many widths
+/// the stored profile spans, so one entry serves every budget up to that
+/// bound and a wider budget extends the same entry in place.
+fn profile_entry_name(
     cache: &ProfileCacheConfig,
     core: &str,
     stamp: u64,
     config: &DecisionConfig,
-) -> std::path::PathBuf {
+) -> String {
     let sample = config
         .pattern_sample
         .map_or_else(|| "full".to_string(), |s| s.to_string());
@@ -810,114 +750,35 @@ fn profile_cache_file(
     } else {
         config.m_candidates.to_string()
     };
-    let sanitize = |s: &str| -> String {
-        s.chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '.' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect()
-    };
-    let (tag, core) = (sanitize(&cache.tag), sanitize(core));
-    shard_dir(cache, stamp).join(format!("{tag}-{core}-{stamp:016x}-s{sample}-m{mcand}.csv"))
-}
-
-/// The self-checksummed first line of a cached profile file:
-/// `# cover <n> fnv <hex>` records that widths `1..=n` were fully searched
-/// when the profile was stored, so an absent entry at a width `≤ n` means
-/// that width class is infeasible while widths `> n` were simply never
-/// evaluated. The digest covers the `cover <n>` payload itself — the
-/// profile body's own trailer cannot vouch for this line, so it carries
-/// its own.
-fn cover_line(covered: u32) -> String {
-    let payload = format!("cover {covered}");
-    let sum = selenc::fnv1a(selenc::FNV_OFFSET, payload.as_bytes());
-    format!("# {payload} fnv {sum:016x}\n")
-}
-
-/// Parses and verifies a [`cover_line`], returning the covered bound.
-fn parse_cover_line(line: &str) -> Option<u32> {
-    let rest = line.trim().strip_prefix("# cover ")?;
-    let mut parts = rest.split_whitespace();
-    let covered: u32 = parts.next()?.parse().ok()?;
-    if parts.next()? != "fnv" {
-        return None;
-    }
-    let sum = u64::from_str_radix(parts.next()?, 16).ok()?;
-    if parts.next().is_some() {
-        return None;
-    }
-    let payload = format!("cover {covered}");
-    (selenc::fnv1a(selenc::FNV_OFFSET, payload.as_bytes()) == sum).then_some(covered)
+    format!("{}-{core}-{stamp:016x}-s{sample}-m{mcand}.csv", cache.tag)
 }
 
 /// Reads a cached profile, or `None` on any miss — the cache can only
-/// ever save work, never corrupt a plan.
-///
-/// Reads are *checked* twice over: the first line must be a valid
-/// [`cover_line`] and the body must carry a valid integrity trailer
-/// ([`CoreProfile::from_csv_checked`]), so a truncated write or a
-/// bit-flipped digit is rejected instead of parsed into a numerically
-/// plausible but wrong profile. A file that fails either check is moved
-/// into the cache's `quarantine/` subdirectory (best-effort) and the
-/// profile is rebuilt and rewritten by the normal miss path — affecting
-/// only this core, never its neighbours.
+/// ever save work, never corrupt a plan. The store verifies the entry's
+/// checksum (quarantining a corrupt one, so only this core rebuilds);
+/// the payload is a `# cover <n>` line — widths `1..=n` were fully
+/// searched, so an absent entry at a width `≤ n` means that width class
+/// is infeasible while widths `> n` were never evaluated — followed by
+/// the profile CSV with its own trailer ([`CoreProfile::from_csv_checked`]).
 fn read_cached_profile(
     cache: &ProfileCacheConfig,
     core: &str,
     stamp: u64,
     config: &DecisionConfig,
 ) -> Option<CachedProfile> {
-    let path = profile_cache_file(cache, core, stamp, config);
-    let csv = std::fs::read_to_string(&path).ok()?;
-    let parsed = csv
-        .lines()
-        .next()
-        .and_then(parse_cover_line)
-        .and_then(|covered| {
-            let body = csv.split_once('\n').map_or("", |(_, rest)| rest);
-            CoreProfile::from_csv_checked(core, body)
-                .ok()
-                .map(|profile| CachedProfile { profile, covered })
-        });
-    if parsed.is_none() {
-        quarantine_cache_file(&path);
-    }
-    parsed
-}
-
-/// Moves a corrupt cache file out of the lookup path, preserving it for
-/// post-mortems under its shard's `quarantine/` subdirectory (keeping the
-/// damage and its fallout confined to one shard). Falls back to deletion
-/// when the move fails (a corrupt file must never be re-read as cache),
-/// and gives up silently if even that fails — the rebuild path doesn't
-/// depend on it.
-fn quarantine_cache_file(path: &Path) {
-    let (Some(name), Some(shard)) = (path.file_name(), path.parent()) else {
-        return;
+    let name = profile_entry_name(cache, core, stamp, config);
+    let robust::Lookup::Hit(bytes) = robust::Store::new(&cache.dir).get(stamp, &name) else {
+        return None;
     };
-    let dir = shard.join("quarantine");
-    let moved =
-        std::fs::create_dir_all(&dir).is_ok() && std::fs::rename(path, dir.join(name)).is_ok();
-    if !moved {
-        let _ = std::fs::remove_file(path);
-    }
+    let (cover, body) = std::str::from_utf8(&bytes).ok()?.split_once('\n')?;
+    let covered = cover.strip_prefix("# cover ")?.parse().ok()?;
+    let profile = CoreProfile::from_csv_checked(core, body).ok()?;
+    Some(CachedProfile { profile, covered })
 }
 
-/// Best-effort cache write (atomic via rename); I/O failures are
-/// swallowed — caching must never fail the plan. Each write is recorded
-/// in the shard's index journal and followed by per-shard cap
-/// enforcement, so the on-disk cache stays within
-/// [`ProfileCacheConfig::limits`] (split evenly across shards).
-///
-/// Concurrent-writer safety: the temp file name is uniquified with the
-/// process id and a process-wide counter, so two writers racing on the
-/// *same* entry each stage a private temp file and the loser's rename
-/// simply replaces the winner's identical content — no torn entries.
-/// Returns the number of entries evicted by cap enforcement.
+/// Stores a profile covering widths `1..=covered` (best-effort; caching
+/// must never fail the plan) and returns how many entries the store
+/// evicted to stay within its caps.
 fn write_cached_profile(
     cache: &ProfileCacheConfig,
     profile: &CoreProfile,
@@ -925,118 +786,9 @@ fn write_cached_profile(
     covered: u32,
     config: &DecisionConfig,
 ) -> u64 {
-    if std::fs::create_dir_all(shard_dir(cache, stamp)).is_err() {
-        return 0;
-    }
-    let path = profile_cache_file(cache, profile.name(), stamp, config);
-    let text = format!("{}{}", cover_line(covered), profile.to_csv());
-    static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-    let tmp = path.with_extension(format!("csv.{}-{seq}.tmp", std::process::id()));
-    if std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, &path).is_ok() {
-        enforce_disk_cache_caps(cache, &path)
-    } else {
-        let _ = std::fs::remove_file(&tmp);
-        0
-    }
-}
-
-/// Name of the write-order journal inside each profile-cache shard.
-const CACHE_JOURNAL: &str = "index.log";
-
-/// Evicts the oldest cached profiles until the written entry's *shard* is
-/// back under its file-count and byte caps (the whole-cache limits divided
-/// by [`CACHE_SHARDS`]), returning how many entries were evicted.
-///
-/// "Oldest" is write order as recorded in the shard's journal — never
-/// file mtimes, which would make eviction depend on filesystem clocks.
-/// Cache files present but missing from the journal (a lost or truncated
-/// journal, or a concurrent writer's entry that raced this journal
-/// rewrite) are treated as oldest, in file-name order, so a damaged or
-/// racy journal degrades to a deterministic fallback instead of unbounded
-/// growth. All I/O is best-effort; readers never take locks — they only
-/// ever see absent files (a miss) or complete renamed entries.
-fn enforce_disk_cache_caps(cache: &ProfileCacheConfig, just_written: &Path) -> u64 {
-    let Some(shard) = just_written.parent() else {
-        return 0;
-    };
-    let limits = per_shard_limits(cache.limits);
-    let journal_path = shard.join(CACHE_JOURNAL);
-    let written_name = just_written
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned());
-
-    // Live cache files in this shard and their sizes, by name.
-    let mut sizes: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    let Ok(entries) = std::fs::read_dir(shard) else {
-        return 0;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if !name.ends_with(".csv") {
-            continue;
-        }
-        if let Ok(meta) = entry.metadata() {
-            if meta.is_file() {
-                sizes.insert(name, meta.len());
-            }
-        }
-    }
-
-    // Reconstruct write order: journal entries that still exist, oldest
-    // first, preceded by any unjournaled files (name order) as "oldest",
-    // followed by the file just written.
-    let journal = std::fs::read_to_string(&journal_path).unwrap_or_default();
-    let mut order: Vec<String> = Vec::new();
-    let mut seen: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-    let push =
-        |name: &str, order: &mut Vec<String>, seen: &mut std::collections::BTreeSet<String>| {
-            if sizes.contains_key(name) && seen.insert(name.to_string()) {
-                order.push(name.to_string());
-            }
-        };
-    let journaled: std::collections::BTreeSet<&str> = journal.lines().map(str::trim).collect();
-    for name in sizes.keys() {
-        if !journaled.contains(name.as_str()) && Some(name) != written_name.as_ref() {
-            push(name, &mut order, &mut seen);
-        }
-    }
-    for line in journal.lines() {
-        let name = line.trim();
-        if Some(name) != written_name.as_deref() {
-            push(name, &mut order, &mut seen);
-        }
-    }
-    if let Some(name) = &written_name {
-        push(name, &mut order, &mut seen);
-    }
-
-    // Evict oldest-first until both caps hold.
-    let mut total: u64 = order.iter().filter_map(|n| sizes.get(n)).sum();
-    let mut keep_from = 0usize;
-    for (i, name) in order.iter().enumerate() {
-        let over_files = order.len() - i > limits.max_entries;
-        let over_bytes = usize::try_from(total).unwrap_or(usize::MAX) > limits.max_bytes;
-        if !over_files && !over_bytes {
-            keep_from = i;
-            break;
-        }
-        let _ = std::fs::remove_file(shard.join(name));
-        total -= sizes.get(name).copied().unwrap_or(0);
-        keep_from = i + 1;
-    }
-
-    // Rewrite the journal to the surviving order (atomic via rename).
-    let mut text = String::new();
-    for name in &order[keep_from..] {
-        text.push_str(name);
-        text.push('\n');
-    }
-    let tmp = journal_path.with_extension("log.tmp");
-    if std::fs::write(&tmp, text).is_ok() {
-        let _ = std::fs::rename(&tmp, &journal_path);
-    }
-    keep_from as u64
+    let name = profile_entry_name(cache, profile.name(), stamp, config);
+    let payload = format!("# cover {covered}\n{}", profile.to_csv());
+    robust::Store::new(&cache.dir).put(stamp, &name, payload.as_bytes())
 }
 
 /// `(routed on-chip wires, ATE channels)` of a finished plan.
@@ -1475,20 +1227,6 @@ mod tests {
     }
 
     #[test]
-    fn cover_line_roundtrips_and_rejects_tampering() {
-        for covered in [0u32, 1, 16, u32::MAX] {
-            let line = cover_line(covered);
-            assert_eq!(parse_cover_line(line.trim_end()), Some(covered));
-        }
-        // A flipped bound no longer matches its own checksum.
-        let line = cover_line(16).replace("cover 16", "cover 17");
-        assert_eq!(parse_cover_line(line.trim_end()), None);
-        assert_eq!(parse_cover_line("# cover banana fnv 0"), None);
-        assert_eq!(parse_cover_line("# profile of x"), None);
-        assert_eq!(parse_cover_line(""), None);
-    }
-
-    #[test]
     fn profile_cache_misses_cold_and_hits_warm() {
         let soc = industrial_soc();
         let req = fast(PlanRequest::tam_width(16));
@@ -1552,7 +1290,7 @@ mod tests {
         let baseline = planner.plan_with(&soc, &req, &control).unwrap();
 
         // Corrupt exactly one core's entry (flip a digit in a data row; the
-        // body checksum catches it) and snapshot the others.
+        // entry checksum catches it) and snapshot the others.
         let entries = profile_cache_entries(&dir);
         assert_eq!(entries.len(), soc.core_count());
         let victim = &entries[0];
@@ -1581,164 +1319,13 @@ mod tests {
         assert_eq!(stats.profile_misses, 1, "only the corrupt core rebuilds");
         assert_eq!(stats.profile_hits, soc.core_count() - 1);
         assert_eq!(replan.core_settings, baseline.core_settings);
-        // The corrupt file was quarantined into its own shard, not
-        // silently re-read — and no other shard quarantined anything.
-        let quarantined = quarantined_profiles(&dir);
-        assert_eq!(quarantined.len(), 1);
-        assert_eq!(quarantined[0].parent().unwrap().parent(), victim.parent());
+        // The corrupt entry was quarantined, not silently re-read.
+        assert_eq!(quarantined_profiles(&dir).len(), 1);
         // Every other entry is byte-identical (no gratuitous rewrites).
         for (p, before) in untouched {
             assert_eq!(std::fs::read_to_string(&p).unwrap(), before, "{p:?}");
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cache_entries_land_in_their_stamp_shard() {
-        let soc = industrial_soc();
-        let dir = cache_dir("shards");
-        Planner::per_core_tdc()
-            .plan_with(
-                &soc,
-                &fast(PlanRequest::tam_width(16)),
-                &cached_control(&dir),
-            )
-            .unwrap();
-        let entries = profile_cache_entries(&dir);
-        assert_eq!(entries.len(), soc.core_count());
-        for path in &entries {
-            // File name carries the 16-hex-digit stamp; its top nibble
-            // must match the shard directory the file lives in.
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            let stamp_hex = name
-                .split('-')
-                .find(|f| f.len() == 16 && u64::from_str_radix(f, 16).is_ok())
-                .expect("stamp field in cache file name");
-            let stamp = u64::from_str_radix(stamp_hex, 16).unwrap();
-            let shard = path
-                .parent()
-                .unwrap()
-                .file_name()
-                .unwrap()
-                .to_string_lossy();
-            assert_eq!(*shard, format!("shard-{:x}", stamp >> 60), "{name}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A minimal single-entry profile for direct cache-write tests.
-    fn tiny_profile(name: &str, salt: u64) -> CoreProfile {
-        CoreProfile::from_entries(
-            name,
-            vec![selenc::ProfileEntry {
-                tam_width: 3,
-                chains: 4,
-                test_time: 1000 + salt,
-                volume_bits: 500 + salt,
-            }],
-        )
-    }
-
-    #[test]
-    fn shard_caps_evict_oldest_and_report_counts() {
-        let dir = cache_dir("caps");
-        // Whole-cache cap of 2×CACHE_SHARDS files → 2 per shard. All
-        // writes share stamp high-nibble 0x3, so they contend in one shard.
-        let cache = ProfileCacheConfig::new(&dir, "t")
-            .with_limits(robust::CacheLimits::new(2 * CACHE_SHARDS, usize::MAX));
-        let config = DecisionConfig::default();
-        let mut evicted = 0;
-        for i in 0..5u64 {
-            let profile = tiny_profile(&format!("core{i}"), i);
-            evicted += write_cached_profile(&cache, &profile, (0x3 << 60) | i, 3, &config);
-        }
-        assert_eq!(evicted, 3, "writes 3..5 each evict the oldest");
-        let entries = profile_cache_entries(&dir);
-        assert_eq!(entries.len(), 2);
-        // The survivors are the two newest writes (journal write order).
-        for (path, expect) in entries.iter().zip(["core3", "core4"]) {
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            assert!(name.contains(expect), "{name} should be {expect}");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
-
-        /// N concurrent writers hammering one cache root: every entry
-        /// must read back intact (atomic renames — no torn files, no
-        /// quarantines) and every shard must hold its scaled cap.
-        #[test]
-        fn concurrent_writers_never_tear_the_sharded_cache(
-            threads in 2usize..5,
-            per_thread in 1usize..9,
-            cap in 1usize..4,
-            salt in proptest::prelude::any::<u64>(),
-        ) {
-            let dir = std::env::temp_dir().join(format!(
-                "tdcsoc-plancache-hammer-{threads}-{per_thread}-{cap}-{salt:x}"
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let cache = ProfileCacheConfig::new(&dir, "t")
-                .with_limits(robust::CacheLimits::new(cap * CACHE_SHARDS, usize::MAX));
-            let config = DecisionConfig::default();
-            std::thread::scope(|scope| {
-                for t in 0..threads {
-                    let (cache, config) = (&cache, &config);
-                    scope.spawn(move || {
-                        for i in 0..per_thread {
-                            // Mix the salt into the stamp so runs spread
-                            // differently across shards case to case.
-                            let stamp = salt
-                                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                                .wrapping_add((t * per_thread + i) as u64);
-                            let profile =
-                                tiny_profile(&format!("c{t}x{i}"), stamp & 0xff);
-                            write_cached_profile(cache, &profile, stamp, 3, config);
-                        }
-                    });
-                }
-            });
-            // Concurrent enforcement may transiently overshoot a cap
-            // (a writer can rename after another's directory scan); one
-            // quiescent enforcement pass per shard restores it, exactly
-            // as the next writer in that shard would.
-            if let Ok(shards) = std::fs::read_dir(&dir) {
-                for shard in shards.flatten() {
-                    enforce_disk_cache_caps(&cache, &shard.path().join("sweep"));
-                }
-            }
-            // No temp droppings, no quarantines, every survivor parses.
-            proptest::prop_assert!(quarantined_profiles(&dir).is_empty());
-            let mut per_shard: std::collections::BTreeMap<std::path::PathBuf, usize> =
-                std::collections::BTreeMap::new();
-            for path in profile_cache_entries(&dir) {
-                proptest::prop_assert!(
-                    !path.to_string_lossy().ends_with(".tmp"),
-                    "staging file leaked: {path:?}"
-                );
-                let csv = std::fs::read_to_string(&path).unwrap();
-                let covered = csv.lines().next().and_then(parse_cover_line);
-                proptest::prop_assert_eq!(covered, Some(3), "torn entry {:?}", &path);
-                let body = csv.split_once('\n').map_or("", |(_, rest)| rest);
-                let name = path.file_name().unwrap().to_string_lossy().into_owned();
-                let core = name.split('-').nth(1).unwrap().to_string();
-                proptest::prop_assert!(
-                    CoreProfile::from_csv_checked(&core, body).is_ok(),
-                    "body checksum failed for {:?}",
-                    &path
-                );
-                *per_shard.entry(path.parent().unwrap().to_path_buf()).or_default() += 1;
-            }
-            for (shard, count) in per_shard {
-                proptest::prop_assert!(
-                    count <= cap,
-                    "shard {shard:?} holds {count} > cap {cap}"
-                );
-            }
-            let _ = std::fs::remove_dir_all(&dir);
-        }
     }
 
     #[test]
