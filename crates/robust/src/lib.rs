@@ -13,8 +13,11 @@
 //! The crate also holds the workspace's caching substrate: the bounded
 //! in-memory LRU ([`BoundedCache`]) and the on-disk [`Store`] under the
 //! planner's profile cache and soclint's lint cache, with the atomic
-//! writer, evidence-keeping quarantine and FNV-1a hash every persistent
-//! file goes through.
+//! writer and bounded, evidence-keeping quarantine every persistent file
+//! goes through. Its two deterministic hashes key and check those files:
+//! byte-wise FNV-1a ([`fnv1a`]) for checksums and lint keys, and the
+//! word-at-a-time [`fold_words`] for the cube content of the planner's
+//! content stamps.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -23,7 +26,7 @@ pub mod bounded;
 pub mod store;
 
 pub use bounded::{BoundedCache, CacheLimits, CacheStats};
-pub use store::{fnv1a, quarantine, write_atomic, Lookup, Store, FNV_OFFSET};
+pub use store::{fnv1a, fold_words, quarantine, write_atomic, Lookup, Store, FNV_OFFSET};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

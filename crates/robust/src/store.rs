@@ -11,7 +11,7 @@
 //!   shard-0/ … shard-f/
 //!     <entry name>       "# store v1 <len> <fnv>" line, then the payload
 //!     index.log          entry names in write order, one line per write
-//!     quarantine/NNNN-<entry name>
+//!     quarantine/NNNN-<entry name>   at most 64 files
 //! ```
 //!
 //! * Every entry is published by [`write_atomic`] (a unique temp name,
@@ -34,7 +34,7 @@
 //! caller counts. All I/O is best-effort — a cache can cost time, never
 //! correctness.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,10 +43,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a 64-bit over `bytes`, continuing from `acc` (start from
-/// [`FNV_OFFSET`]). The workspace's one deterministic (machine- and
-/// run-independent) hash: cache keys, content fingerprints and integrity
-/// checksums are all built from it, since hash-collection hashers are
-/// banned by the determinism contract. Each step is a bijection of the
+/// [`FNV_OFFSET`]). The workspace's byte-wise deterministic (machine- and
+/// run-independent) hash, since hash-collection hashers are banned by the
+/// determinism contract: the store's checksums, the lint cache's keys and
+/// the fixed-size fields of content stamps are built from it; bulk word
+/// content goes through [`fold_words`]. Each step is a bijection of the
 /// state, so two inputs of one length that differ in a single byte never
 /// share a digest.
 #[inline]
@@ -57,6 +58,37 @@ pub fn fnv1a(acc: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The odd multiplier of [`fold_words`] (MurmurHash64A's `m`).
+const FOLD_MULTIPLIER: u64 = 0xc6a4_a793_5bd1_e995;
+
+/// Folds `words` into `acc` one 64-bit word per step: the word-at-a-time
+/// companion of [`fnv1a`] for content already packed in words (a core's
+/// cube planes), eight bytes per step instead of one. Each step is the
+/// inner loop of MurmurHash64A (Austin Appleby, public domain) without its
+/// seed and tail: with `M = 0xc6a4_a793_5bd1_e995`,
+///
+/// ```text
+/// k = w * M;  k ^= k >> 47;  k *= M;     the word's premix
+/// h = (h ^ k) * M                        the state step
+/// ```
+///
+/// The premix is a bijection of the word and the state step a bijection
+/// of the state (xor, then an odd multiply), so two inputs of one length
+/// that differ in a single word never share a result. The premix is what
+/// keeps sparse differences apart: a multiply only carries upwards, so
+/// without it a flip of a word's bit 63 stays a flip of one state bit,
+/// which the same flip in another word cancels (a bare xor-multiply) or a
+/// one-bit flip of the next word cancels (a xor-multiply followed by a
+/// rotate). Premixed, a one-bit flip reaches the state as many bits.
+#[inline]
+pub fn fold_words(acc: u64, words: &[u64]) -> u64 {
+    words.iter().fold(acc, |h, &w| {
+        let k = w.wrapping_mul(FOLD_MULTIPLIER);
+        let k = (k ^ (k >> 47)).wrapping_mul(FOLD_MULTIPLIER);
+        (h ^ k).wrapping_mul(FOLD_MULTIPLIER)
+    })
 }
 
 /// Publishes `contents` at `path` atomically: writes a temp file next to
@@ -90,24 +122,42 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     written
 }
 
+/// Files one quarantine directory keeps. Past this, [`quarantine`]
+/// deletes a corrupt file instead of keeping it as evidence.
+const QUARANTINE_FILES: usize = 64;
+
 /// Moves `path` into `dir` (created on demand) under the first free
 /// `NNNN-<file name>`, so evidence from earlier runs is never replaced.
-/// Returns the quarantined name. When the move fails the file is deleted
-/// instead — a corrupt file must never be read again — and `None` comes
-/// back, as it does for a missing file.
+/// Returns the quarantined name. A directory holding
+/// `QUARANTINE_FILES` (64) files keeps no more: the file is deleted
+/// instead. So is a file whose move fails — a corrupt file must never be
+/// read again — and either way `None` comes back, as it does for a
+/// missing file. One directory listing finds the free name.
 pub fn quarantine(path: &Path, dir: &Path) -> Option<String> {
     let base = path.file_name()?.to_string_lossy().into_owned();
-    let name = (0u32..)
-        .map(|seq| format!("{seq:04}-{base}"))
-        .find(|name| !dir.join(name).exists())?;
-    let moved =
-        std::fs::create_dir_all(dir).is_ok() && std::fs::rename(path, dir.join(&name)).is_ok();
-    if moved {
-        Some(name)
+    let kept: BTreeSet<String> = std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .flatten()
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .collect()
+        })
+        .unwrap_or_default();
+    // Below the cap, some sequence number under it is free for any name.
+    let name = if kept.len() < QUARANTINE_FILES {
+        (0..QUARANTINE_FILES)
+            .map(|seq| format!("{seq:04}-{base}"))
+            .find(|name| !kept.contains(name))
     } else {
-        let _ = std::fs::remove_file(path);
         None
+    };
+    let moved = name.filter(|name| {
+        std::fs::create_dir_all(dir).is_ok() && std::fs::rename(path, dir.join(name)).is_ok()
+    });
+    if moved.is_none() {
+        let _ = std::fs::remove_file(path);
     }
+    moved
 }
 
 /// What [`Store::get`] found.
@@ -391,6 +441,60 @@ mod tests {
     }
 
     #[test]
+    fn fold_words_matches_the_reference_vectors() {
+        // An empty input leaves the state alone.
+        for acc in [0, 1, FNV_OFFSET, u64::MAX] {
+            assert_eq!(fold_words(acc, &[]), acc);
+        }
+        // Folding continues from `acc`, and one value is pinned, so a
+        // change to the step is a deliberate test edit.
+        assert_eq!(
+            fold_words(FNV_OFFSET, &[1, 2, 3]),
+            fold_words(fold_words(FNV_OFFSET, &[1]), &[2, 3])
+        );
+        assert_eq!(fold_words(FNV_OFFSET, &[1, 2, 3]), FOLD_1_2_3);
+        // Every single-bit flip of a 3-word input moves the result.
+        let base = [0x0123_4567_89ab_cdef, 0, u64::MAX];
+        let reference = fold_words(FNV_OFFSET, &base);
+        for word in 0..base.len() {
+            for bit in 0..64 {
+                let mut flipped = base;
+                flipped[word] ^= 1 << bit;
+                assert_ne!(
+                    fold_words(FNV_OFFSET, &flipped),
+                    reference,
+                    "word {word} bit {bit}"
+                );
+            }
+        }
+        // The same flip of bit 63 in two different words does not cancel
+        // (it would under a bare xor-multiply).
+        for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+            let mut flipped = base;
+            flipped[a] ^= 1 << 63;
+            flipped[b] ^= 1 << 63;
+            assert_ne!(
+                fold_words(FNV_OFFSET, &flipped),
+                reference,
+                "words {a}, {b}"
+            );
+        }
+        // Nor does any one-bit flip in a word with any one-bit flip in the
+        // next (a xor-multiply-rotate step cancels bit 63 against bit 28).
+        for i in 0..64 {
+            for j in 0..64 {
+                let mut flipped = base;
+                flipped[0] ^= 1 << i;
+                flipped[1] ^= 1 << j;
+                assert_ne!(fold_words(FNV_OFFSET, &flipped), reference, "bits {i}, {j}");
+            }
+        }
+    }
+
+    /// `fold_words(FNV_OFFSET, &[1, 2, 3])`, computed independently.
+    const FOLD_1_2_3: u64 = 0xc460_96c0_93fd_a361;
+
+    #[test]
     fn entries_round_trip_in_their_fingerprint_shard() {
         let dir = scratch("roundtrip");
         let store = Store::new(&dir);
@@ -443,7 +547,11 @@ mod tests {
             assert_eq!(store.get(5, "e.csv"), Lookup::Corrupt, "{bytes:?}");
             assert!(!path.exists(), "a corrupt entry leaves the lookup path");
             quarantined += 1;
-            assert_eq!(store.quarantined().len(), quarantined);
+            assert_eq!(
+                store.quarantined().len(),
+                quarantined.min(QUARANTINE_FILES),
+                "one shard's quarantine keeps at most its cap"
+            );
             assert_eq!(store.get(5, "e.csv"), Lookup::Miss);
         }
         // Appended bytes are damage too.
@@ -599,6 +707,31 @@ mod tests {
         assert_eq!(
             std::fs::read_to_string(aside.join("0001-f.json")).unwrap(),
             "two"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_full_quarantine_deletes_instead_of_keeping() {
+        let dir = scratch("quarantine-cap");
+        std::fs::create_dir_all(&dir).unwrap();
+        let aside = dir.join("aside");
+        for i in 0..QUARANTINE_FILES + 3 {
+            let name = format!("f{}.json", i % 2);
+            std::fs::write(dir.join(&name), i.to_string()).unwrap();
+            let kept = quarantine(&dir.join(&name), &aside);
+            assert_eq!(kept.is_some(), i < QUARANTINE_FILES, "copy {i}");
+            assert!(!dir.join(&name).exists(), "copy {i} leaves its path");
+        }
+        assert_eq!(std::fs::read_dir(&aside).unwrap().count(), QUARANTINE_FILES);
+        // The earliest evidence is what stays.
+        assert_eq!(
+            std::fs::read_to_string(aside.join("0000-f0.json")).unwrap(),
+            "0"
+        );
+        assert_eq!(
+            std::fs::read_to_string(aside.join("0031-f1.json")).unwrap(),
+            "63"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

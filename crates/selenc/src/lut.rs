@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use robust::{fnv1a, FNV_OFFSET};
+use robust::{fnv1a, fold_words, FNV_OFFSET};
 use soc_model::Core;
 
 use crate::code::SliceCode;
@@ -558,9 +558,12 @@ impl fmt::Display for ProfileCsvError {
 
 impl std::error::Error for ProfileCsvError {}
 
-/// Content fingerprint of a core: a 64-bit FNV-1a digest over its name,
+/// Content fingerprint of a core: a 64-bit stamp over its name,
 /// terminal/scan geometry, and the care/value planes of every attached
-/// test cube.
+/// test cube. The name, the counts, the geometry and each cube's length
+/// go through byte-wise FNV-1a ([`robust::fnv1a`]); the cube planes, which
+/// are nearly all of the input, are folded a word at a time
+/// ([`robust::fold_words`]), eight bytes per step.
 ///
 /// Two cores share a fingerprint exactly when every input that profile
 /// construction reads is identical, so the digest is the dirty-tracking
@@ -602,12 +605,8 @@ pub fn core_fingerprint(core: &Core) -> u64 {
             h = fnv1a(h, &(ts.pattern_count() as u64).to_le_bytes());
             for cube in ts.iter() {
                 h = fnv1a(h, &(cube.len() as u64).to_le_bytes());
-                for &w in cube.care_words() {
-                    h = fnv1a(h, &w.to_le_bytes());
-                }
-                for &w in cube.value_words() {
-                    h = fnv1a(h, &w.to_le_bytes());
-                }
+                h = fold_words(h, cube.care_words());
+                h = fold_words(h, cube.value_words());
             }
         }
     }
@@ -874,5 +873,155 @@ mod csv_tests {
             CoreProfile::from_csv("x", "# end banana\n"),
             Err(ProfileCsvError::BadTrailer { line: 1 })
         ));
+    }
+}
+
+#[cfg(test)]
+mod stamp_tests {
+    use super::*;
+    use soc_model::{ScanArchitecture, TestSet, Trit, TritVec};
+
+    /// Every geometry field the stamp reads.
+    struct Spec {
+        name: &'static str,
+        inputs: u32,
+        outputs: u32,
+        bidirs: u32,
+        patterns: u32,
+        scan: ScanArchitecture,
+    }
+
+    fn fixed(lengths: &[u32]) -> ScanArchitecture {
+        ScanArchitecture::Fixed {
+            chain_lengths: lengths.to_vec(),
+        }
+    }
+
+    /// A small fixed core: 74-bit cubes, so each plane spans two words.
+    fn golden() -> Spec {
+        Spec {
+            name: "golden",
+            inputs: 3,
+            outputs: 2,
+            bidirs: 1,
+            patterns: 3,
+            scan: fixed(&[40, 30]),
+        }
+    }
+
+    /// The core of `spec`, whose cube `p` holds `0`, `1` or `X` at
+    /// position `i` by `(7i + p) mod 3`, after `edit` touched the cubes.
+    fn core_with(spec: &Spec, edit: impl Fn(&mut [TritVec])) -> Core {
+        let mut core = Core::builder(spec.name)
+            .inputs(spec.inputs)
+            .outputs(spec.outputs)
+            .bidirs(spec.bidirs)
+            .scan(spec.scan.clone())
+            .pattern_count(spec.patterns)
+            .build()
+            .unwrap();
+        let bits = core.scan_load_bits() as usize;
+        let mut cubes: Vec<TritVec> = (0..spec.patterns as usize)
+            .map(|p| {
+                (0..bits)
+                    .map(|i| [Trit::Zero, Trit::One, Trit::X][(7 * i + p) % 3])
+                    .collect()
+            })
+            .collect();
+        edit(&mut cubes);
+        core.attach_test_set(TestSet::from_patterns(bits, cubes).unwrap())
+            .unwrap();
+        core
+    }
+
+    fn core(spec: &Spec) -> Core {
+        core_with(spec, |_| {})
+    }
+
+    #[test]
+    fn a_fixed_core_has_a_pinned_stamp() {
+        // A deliberate edit when the stamp's definition changes; every
+        // cached profile's entry name changes with it.
+        assert_eq!(core_fingerprint(&core(&golden())), GOLDEN_STAMP);
+    }
+
+    /// `core_fingerprint` of [`golden`], computed independently.
+    const GOLDEN_STAMP: u64 = 0x5dd6_d364_dc8a_064e;
+
+    #[test]
+    fn the_stamp_moves_when_any_one_input_changes() {
+        let with = |change: fn(&mut Spec)| {
+            let mut spec = golden();
+            change(&mut spec);
+            core(&spec)
+        };
+        // Cube length is scan cells plus inputs plus bidirs, so an input
+        // or a bidir more comes with a scan cell fewer.
+        let variants = [
+            ("golden", core(&golden())),
+            ("name", with(|s| s.name = "golden2")),
+            (
+                "inputs",
+                with(|s| (s.inputs, s.scan) = (4, fixed(&[40, 29]))),
+            ),
+            ("outputs", with(|s| s.outputs += 1)),
+            (
+                "bidirs",
+                with(|s| (s.bidirs, s.scan) = (2, fixed(&[40, 29]))),
+            ),
+            ("pattern count", with(|s| s.patterns += 1)),
+            (
+                "scan kind",
+                with(|s| {
+                    s.scan = ScanArchitecture::Flexible {
+                        cells: 70,
+                        max_chains: 2,
+                    }
+                }),
+            ),
+            ("chain lengths", with(|s| s.scan = fixed(&[30, 40]))),
+            ("cube length", with(|s| s.scan = fixed(&[40, 31]))),
+            // Cube 1 has an X at position 70 (second word): X -> 0.
+            (
+                "care bit",
+                core_with(&golden(), |cubes| cubes[1].set(70, Trit::Zero)),
+            ),
+            // Cube 2 has a 0 at position 1: 0 -> 1.
+            (
+                "value bit",
+                core_with(&golden(), |cubes| cubes[2].set(1, Trit::One)),
+            ),
+        ];
+        for (i, (a, core_a)) in variants.iter().enumerate() {
+            for (b, core_b) in &variants[i + 1..] {
+                assert_ne!(
+                    core_fingerprint(core_a),
+                    core_fingerprint(core_b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_stamp_ignores_the_sampling_configuration() {
+        // The planner's sampling knobs (pattern sample, m candidates) key
+        // cache entries separately; the stamp is the core's content alone.
+        let core = core(&golden());
+        let stamp = core_fingerprint(&core);
+        for (sample, mcand) in [(None, None), (Some(1), Some(2)), (Some(2), None)] {
+            let cache = EvalCache::new(&core);
+            let mut config = ProfileConfig::new(8);
+            if let Some(s) = sample {
+                config = config.pattern_sample(s);
+            }
+            if let Some(m) = mcand {
+                config = config.m_candidates(m);
+            }
+            assert!(!CoreProfile::build_cached(&cache, &config)
+                .entries()
+                .is_empty());
+            assert_eq!(cache.content_stamp(), stamp, "{sample:?} {mcand:?}");
+        }
     }
 }

@@ -331,6 +331,24 @@ pub fn load(dir: &Path, rel_path: &str, source: &str) -> Option<FileAnalysis> {
     parse_artifact(std::str::from_utf8(&bytes).ok()?, rel_path)
 }
 
+/// Removes the flat `<dir>/<name>.lint` artifacts that caches written
+/// before the sharded store keep directly under their root: nothing reads
+/// or evicts them any more. The store's shard directories are left alone.
+/// Best-effort, like every cache write.
+pub(crate) fn remove_flat_artifacts(dir: &Path) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let path = entry.path();
+        let flat = entry.file_type().is_ok_and(|t| t.is_file())
+            && path.extension().is_some_and(|ext| ext == "lint");
+        if flat {
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+}
+
 /// Stores the analysis. All I/O failures are silently ignored — caching
 /// is best-effort.
 pub fn store(dir: &Path, rel_path: &str, source: &str, analysis: &FileAnalysis) {

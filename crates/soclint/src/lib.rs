@@ -164,6 +164,9 @@ pub fn lint_workspace_report(root: &Path, opts: &LintOptions) -> Result<LintRepo
         sources.push(source);
     }
 
+    if let Some(dir) = opts.cache_dir.as_deref() {
+        cache::remove_flat_artifacts(dir);
+    }
     // Cache probe: each slot is either a hit (served artifact) or None
     // (goes to the pool).
     let mut slots: Vec<Option<facts::FileAnalysis>> = Vec::with_capacity(files.len());

@@ -170,6 +170,47 @@ fn a_corrupt_artifact_is_reanalyzed_and_the_report_matches_cold() {
     assert_eq!(store.quarantined().len(), 1);
 }
 
+/// A cache root filled before the sharded store holds flat
+/// `<name>.lint` artifacts nothing reads: a cached run removes them,
+/// leaves the shards alone, and reports what a cold run reports.
+#[test]
+fn a_cached_run_removes_flat_artifacts_from_the_cache_root() {
+    let ws = Scratch::new("flat");
+    write_mini_workspace(ws.path());
+    let cache = ws.path().join("cache");
+    fs::create_dir_all(&cache).unwrap();
+    let flat = cache.join("crates_filler_src_mod0.rs-00000000000000ff.lint");
+    fs::write(
+        &flat,
+        "soclint-cache v2\npath\tcrates/filler/src/mod0.rs\nend\n",
+    )
+    .unwrap();
+    // A directory with the suffix is not an artifact.
+    fs::create_dir_all(cache.join("keep.lint")).unwrap();
+    let cached = LintOptions {
+        workers: 1,
+        cache_dir: Some(cache.clone()),
+    };
+    let cold_opts = LintOptions {
+        workers: 1,
+        cache_dir: None,
+    };
+
+    let (warm, files, ..) = report_json(ws.path(), &cached);
+    assert!(!flat.exists(), "the flat artifact is removed");
+    assert!(cache.join("keep.lint").is_dir());
+    let (cold, ..) = report_json(ws.path(), &cold_opts);
+    assert_eq!(warm, cold, "the report matches a cold run's");
+    let store = robust::Store::new(&cache);
+    assert_eq!(
+        store.entries().len(),
+        files,
+        "the shards keep every artifact"
+    );
+    let (_, _, hits, _) = report_json(ws.path(), &cached);
+    assert_eq!(hits, files, "the next run reads them all");
+}
+
 #[test]
 fn worker_count_never_changes_the_report() {
     // Run on the real shipped workspace: large enough that scheduling

@@ -337,12 +337,24 @@ impl Planner {
         for ((i, range), part) in chunks.into_iter().zip(parts) {
             per_core[i].push(part.unwrap_or_else(|| TablePart::skipped(range)));
         }
-        let tables: Vec<DecisionTable> = jobs
+        // Assembly (the raw-access row, the profile merge, the bypass) runs
+        // as one task per core once every chunk has finished, so each
+        // core's memos are touched by one task at a time and their counters
+        // stay exact. No token — every core gets a table, skipped widths
+        // degrade to raw access. Cache writes stay serial below, in core
+        // order, so the evictions a full shard reports do not depend on
+        // timing.
+        let assembly: Vec<_> = jobs
             .iter()
             .zip(per_core)
+            .map(|(job, parts)| move || job.assemble_with_profile(parts))
+            .collect();
+        let assembled = pool.clone().labeled("assemble").run(assembly);
+        let tables: Vec<DecisionTable> = jobs
+            .iter()
+            .zip(assembled)
             .zip(&cache_use)
-            .map(|((job, parts), use_)| {
-                let (table, profile) = job.assemble_with_profile(parts);
+            .map(|((job, (table, profile)), use_)| {
                 match *use_ {
                     CacheUse::Full => {
                         stats.profile_hits += 1;

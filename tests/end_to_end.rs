@@ -4,10 +4,12 @@
 
 #![forbid(unsafe_code)]
 
+use std::path::{Path, PathBuf};
+
 use soc_tdc::model::benchmarks::{self, Design};
 use soc_tdc::model::format::{parse_soc, write_soc};
-use soc_tdc::model::{generator::synthesize_missing_test_sets, Core, Soc};
-use soc_tdc::planner::{write_plan, DecisionConfig, PlanControl, PlanRequest, Planner};
+use soc_tdc::model::{generator::synthesize_missing_test_sets, Core, CubeSynthesis, Soc};
+use soc_tdc::planner::{write_plan, DecisionConfig, PlanControl, PlanRequest, PlanStats, Planner};
 use soc_tdc::tam::render_gantt;
 
 /// A reduced industrial-like SOC small enough for debug-build tests.
@@ -106,22 +108,52 @@ fn planning_is_deterministic() {
     assert_eq!(a.schedule, b.schedule);
 }
 
+/// Plan text and stats of a per-core plan at `workers`, against the
+/// profile cache in `cache` when one is given.
+fn plan_at(soc: &Soc, width: u32, workers: usize, cache: Option<&Path>) -> (String, PlanStats) {
+    let mut request = fast(width);
+    request.architecture.workers = Some(workers);
+    let control = match cache {
+        Some(dir) => PlanControl::default().cache_profiles_in(dir, "e2e"),
+        None => PlanControl::default(),
+    };
+    let (plan, stats) = Planner::per_core_tdc()
+        .plan_with_stats(soc, &request, &control)
+        .unwrap();
+    (write_plan(&plan), stats)
+}
+
+/// A fresh, empty directory unique to `name` and this process.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("e2e-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Copies the directory tree `from` to `to`.
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_tree(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
 #[test]
 fn plans_and_stats_are_identical_at_any_worker_count() {
-    // Table builds and stream verification both fan out on the planner's
-    // pool; neither the plan nor any counter may depend on its size.
+    // Table builds, table assembly and stream verification all fan out on
+    // the planner's pool; neither the plan nor any counter may depend on
+    // its size.
     for (design, width) in [(Design::P34392, 24), (Design::System1, 32)] {
         let soc = design.build_with_cubes(42);
         let runs: Vec<_> = [1, 2, 4]
             .into_iter()
-            .map(|workers| {
-                let mut request = fast(width);
-                request.architecture.workers = Some(workers);
-                let (plan, stats) = Planner::per_core_tdc()
-                    .plan_with_stats(&soc, &request, &PlanControl::default())
-                    .unwrap();
-                (write_plan(&plan), stats)
-            })
+            .map(|workers| plan_at(&soc, width, workers, None))
             .collect();
         assert!(
             runs[0].1.streams_verified > 0,
@@ -130,6 +162,65 @@ fn plans_and_stats_are_identical_at_any_worker_count() {
         for run in &runs[1..] {
             assert_eq!(run, &runs[0], "{design:?} at W={width}");
         }
+    }
+
+    // A warm cache after a one-core edit: filled cold, then each worker
+    // count re-plans against its own copy of that cache.
+    let mut soc = Design::P34392.build_with_cubes(42);
+    let filled = scratch_dir("filled");
+    plan_at(&soc, 24, 2, Some(&filled));
+    let edited = soc.cores().len() / 2;
+    let core = &soc.cores()[edited];
+    let cubes = CubeSynthesis::new(core.nominal_care_density()).synthesize(core, 7);
+    soc.cores_mut()[edited].attach_test_set(cubes).unwrap();
+    let runs: Vec<_> = [1, 2, 4]
+        .into_iter()
+        .map(|workers| {
+            let dir = scratch_dir(&format!("edited-w{workers}"));
+            copy_tree(&filled, &dir);
+            let run = plan_at(&soc, 24, workers, Some(&dir));
+            let _ = std::fs::remove_dir_all(&dir);
+            run
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&filled);
+    let stats = &runs[0].1;
+    assert_eq!(
+        (
+            stats.profile_hits,
+            stats.profile_misses,
+            stats.widths_computed
+        ),
+        (18, 1, 24),
+        "only the edited core rebuilds"
+    );
+    for run in &runs[1..] {
+        assert_eq!(run, &runs[0], "edited re-plan");
+    }
+
+    // A cold cached plan into shards already past their caps (unjournaled
+    // junk, the oldest entries): each of the 19 writes evicts, the first
+    // into a shard five. The writes stay in core order, so the evictions
+    // do too.
+    let runs: Vec<_> = [1, 2, 4]
+        .into_iter()
+        .map(|workers| {
+            let dir = scratch_dir(&format!("full-w{workers}"));
+            for shard in 0..16 {
+                let shard = dir.join(format!("shard-{shard:x}"));
+                std::fs::create_dir_all(&shard).unwrap();
+                for i in 0..260 {
+                    std::fs::write(shard.join(format!("junk-{i:03}")), "junk").unwrap();
+                }
+            }
+            let run = plan_at(&soc, 24, workers, Some(&dir));
+            let _ = std::fs::remove_dir_all(&dir);
+            run
+        })
+        .collect();
+    assert!(runs[0].1.profile_evictions > 19, "{:?}", runs[0].1);
+    for run in &runs[1..] {
+        assert_eq!(run, &runs[0], "cold plan into full shards");
     }
 }
 
