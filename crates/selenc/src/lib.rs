@@ -76,7 +76,7 @@ pub use lut::{
     ProfileCsvError, ProfileEntry,
 };
 pub use memo::{EvalCache, DEFAULT_EVAL_BYTES, DEFAULT_EVAL_ENTRIES};
-pub use rtl::{generate_testbench, generate_verilog};
+pub use rtl::generate_verilog;
 pub use stream::{
     compress_sampled, compress_test_set, cube_cost, cube_cost_policy, cube_cost_scalar,
     encode_cube, evaluate_clamped, evaluate_point, Compressed,

@@ -187,54 +187,13 @@ impl CoreProfile {
     /// Panics if the core has no attached test set (synthesize or attach
     /// cubes first).
     pub fn build(core: &Core, config: &ProfileConfig) -> Self {
-        Self::build_cancellable(core, config, &|| false)
-    }
-
-    /// [`build`](CoreProfile::build) against an existing [`EvalCache`],
-    /// sharing operating-point evaluations with every other consumer of the
-    /// cache (decision tables, other profile configs, benchmarks).
-    ///
-    /// # Panics
-    ///
-    /// As [`build`](CoreProfile::build).
-    pub fn build_cached(cache: &EvalCache<'_>, config: &ProfileConfig) -> Self {
-        Self::build_inner(cache, config, &|| false)
-    }
-
-    /// Like [`build`](CoreProfile::build), but polls `cancelled` between
-    /// operating-point evaluations and stops early when it returns `true`.
-    ///
-    /// The result is a *prefix* of the full profile (all widths evaluated
-    /// so far) — still internally consistent, just covering fewer widths.
-    /// Callers degrade gracefully: a width without an entry simply has no
-    /// compressed operating point and falls back to raw access.
-    ///
-    /// # Panics
-    ///
-    /// As [`build`](CoreProfile::build).
-    pub fn build_cancellable(
-        core: &Core,
-        config: &ProfileConfig,
-        cancelled: &dyn Fn() -> bool,
-    ) -> Self {
-        Self::build_inner(&EvalCache::new(core), config, cancelled)
-    }
-
-    fn build_inner(
-        cache: &EvalCache<'_>,
-        config: &ProfileConfig,
-        cancelled: &dyn Fn() -> bool,
-    ) -> Self {
-        let mut entries = Vec::new();
-        for w in SliceCode::MIN_TAM_WIDTH..=config.max_tam_width {
-            match profile_entry_for_width(cache, w, config, cancelled) {
-                Ok(Some(entry)) => entries.push(entry),
-                Ok(None) => {}
-                // Keep only fully evaluated widths.
-                Err(Interrupted) => break,
-            }
-        }
-        Self::from_entries(cache.core().name(), entries)
+        let cache = EvalCache::new(core);
+        let entries = (SliceCode::MIN_TAM_WIDTH..=config.max_tam_width)
+            .filter_map(|w| {
+                profile_entry_for_width(&cache, w, config, &|| false).expect("never cancelled")
+            })
+            .collect();
+        Self::from_entries(core.name(), entries)
     }
 
     /// Assembles a profile from per-width entries (as produced by
@@ -413,30 +372,34 @@ mod tests {
         assert_eq!(p.entries().last().unwrap().tam_width, 7);
     }
 
+    /// The profile assembled width by width off a shared `cache`, as the
+    /// planner's table jobs build it.
+    pub(super) fn profile_off(cache: &EvalCache<'_>, config: &ProfileConfig) -> CoreProfile {
+        let entries: Vec<ProfileEntry> = (SliceCode::MIN_TAM_WIDTH..=config.max_tam_width)
+            .filter_map(|w| {
+                profile_entry_for_width(cache, w, config, &|| false).expect("not cancelled")
+            })
+            .collect();
+        CoreProfile::from_entries(cache.core().name(), entries)
+    }
+
     #[test]
     fn cached_build_matches_plain_build() {
         let core = prepared(500, 128, 10, 0.15);
-        let plain = CoreProfile::build(&core, &ProfileConfig::new(9).m_candidates(6));
+        let cfg = ProfileConfig::new(9).m_candidates(6);
+        let plain = CoreProfile::build(&core, &cfg);
         let cache = EvalCache::new(&core);
-        let cached = CoreProfile::build_cached(&cache, &ProfileConfig::new(9).m_candidates(6));
-        assert_eq!(plain, cached);
-        // A second build off the same cache is also identical (warm hits).
-        let again = CoreProfile::build_cached(&cache, &ProfileConfig::new(9).m_candidates(6));
-        assert_eq!(plain, again);
+        assert_eq!(plain, profile_off(&cache, &cfg));
+        // A second pass off the same cache is also identical (warm hits).
+        assert_eq!(plain, profile_off(&cache, &cfg));
     }
 
     #[test]
     fn per_width_entries_reassemble_the_profile() {
         let core = prepared(400, 96, 6, 0.2);
         let cfg = ProfileConfig::new(9).m_candidates(5);
-        let plain = CoreProfile::build(&core, &cfg);
         let cache = EvalCache::new(&core);
-        let entries: Vec<ProfileEntry> = (SliceCode::MIN_TAM_WIDTH..=9)
-            .filter_map(|w| {
-                profile_entry_for_width(&cache, w, &cfg, &|| false).expect("not cancelled")
-            })
-            .collect();
-        assert_eq!(plain, CoreProfile::from_entries(core.name(), entries));
+        assert_eq!(CoreProfile::build(&core, &cfg), profile_off(&cache, &cfg));
     }
 
     #[test]
@@ -1018,7 +981,7 @@ mod stamp_tests {
             if let Some(m) = mcand {
                 config = config.m_candidates(m);
             }
-            assert!(!CoreProfile::build_cached(&cache, &config)
+            assert!(!super::tests::profile_off(&cache, &config)
                 .entries()
                 .is_empty());
             assert_eq!(cache.content_stamp(), stamp, "{sample:?} {mcand:?}");

@@ -246,195 +246,3 @@ mod tests {
         assert_eq!(begins, ends, "begin/end imbalance:\n{v}");
     }
 }
-
-/// Generates a self-checking Verilog testbench for the decompressor
-/// produced by [`generate_verilog`]: the given slices are encoded with the
-/// Rust [`Encoder`](crate::Encoder), the codewords are applied cycle by
-/// cycle, and each emitted slice is compared against the expected value
-/// (don't-care positions are masked out).
-///
-/// # Panics
-///
-/// Panics if `module_name` is invalid, `slices` is empty, or a slice's
-/// length differs from the code's chain count.
-pub fn generate_testbench(
-    code: SliceCode,
-    module_name: &str,
-    slices: &[soc_model::TritVec],
-) -> String {
-    assert!(
-        is_verilog_identifier(module_name),
-        "invalid Verilog module name {module_name:?}"
-    );
-    assert!(!slices.is_empty(), "testbench needs at least one slice");
-    let enc = crate::Encoder::new(code);
-    let m = code.chains();
-    let w = code.tam_width();
-
-    // Flatten all codewords, remembering which input word completes which
-    // slice.
-    let mut words: Vec<u64> = Vec::new();
-    let mut boundaries: Vec<usize> = Vec::new(); // word index whose result is slice i
-    for slice in slices {
-        let cws = enc.encode_slice(slice);
-        for cw in cws {
-            words.push(cw.pack(code));
-        }
-        boundaries.push(words.len() - 1);
-    }
-
-    let mut v = String::new();
-    let _ = writeln!(
-        v,
-        "// Self-checking testbench for {module_name} (w = {w}, m = {m})."
-    );
-    let _ = writeln!(v, "`timescale 1ns/1ps");
-    let _ = writeln!(v, "module {module_name}_tb;");
-    let _ = writeln!(v, "    reg              clk = 0;");
-    let _ = writeln!(v, "    reg              rst_n = 0;");
-    let _ = writeln!(v, "    reg  [{}:0]      codeword = 0;", w - 1);
-    let _ = writeln!(v, "    reg              codeword_valid = 0;");
-    let _ = writeln!(v, "    wire [{}:0]      slice;", m - 1);
-    let _ = writeln!(v, "    wire             slice_valid;");
-    let _ = writeln!(v, "    integer          errors = 0;");
-    let _ = writeln!(v, "    integer          emitted = 0;");
-    v.push('\n');
-    let _ = writeln!(
-        v,
-        "    {module_name} dut (.clk(clk), .rst_n(rst_n), .codeword(codeword),"
-    );
-    let _ = writeln!(
-        v,
-        "        .codeword_valid(codeword_valid), .slice(slice), .slice_valid(slice_valid));"
-    );
-    v.push('\n');
-    let _ = writeln!(v, "    always #5 clk = ~clk;");
-    v.push('\n');
-    let _ = writeln!(
-        v,
-        "    task check(input [{}:0] expected, input [{}:0] mask);",
-        m - 1,
-        m - 1
-    );
-    let _ = writeln!(v, "        begin");
-    let _ = writeln!(
-        v,
-        "            if ((slice & mask) !== (expected & mask)) begin"
-    );
-    let _ = writeln!(
-        v,
-        "                $display(\"FAIL slice %0d: got %b want %b (mask %b)\", emitted, slice, expected, mask);"
-    );
-    let _ = writeln!(v, "                errors = errors + 1;");
-    let _ = writeln!(v, "            end");
-    let _ = writeln!(v, "            emitted = emitted + 1;");
-    let _ = writeln!(v, "        end");
-    let _ = writeln!(v, "    endtask");
-    v.push('\n');
-    let _ = writeln!(v, "    initial begin");
-    let _ = writeln!(v, "        repeat (2) @(posedge clk);");
-    let _ = writeln!(v, "        rst_n = 1;");
-
-    let mut slice_idx = 0usize;
-    for (wi, word) in words.iter().enumerate() {
-        let _ = writeln!(
-            v,
-            "        @(negedge clk) codeword = {w}'h{word:x}; codeword_valid = 1;"
-        );
-        if boundaries.get(slice_idx) == Some(&wi) {
-            let slice = &slices[slice_idx];
-            let (mut expected, mut mask) = (String::new(), String::new());
-            for k in (0..m as usize).rev() {
-                match slice.get(k).value() {
-                    Some(true) => {
-                        expected.push('1');
-                        mask.push('1');
-                    }
-                    Some(false) => {
-                        expected.push('0');
-                        mask.push('1');
-                    }
-                    None => {
-                        expected.push('0');
-                        mask.push('0');
-                    }
-                }
-            }
-            let _ = writeln!(v, "        @(posedge clk) #1;");
-            let _ = writeln!(v, "        if (!slice_valid) begin");
-            let _ = writeln!(
-                v,
-                "            $display(\"FAIL: slice_valid not asserted for slice %0d\", emitted);"
-            );
-            let _ = writeln!(v, "            errors = errors + 1;");
-            let _ = writeln!(v, "        end");
-            let _ = writeln!(v, "        check({m}'b{expected}, {m}'b{mask});");
-            slice_idx += 1;
-        } else {
-            let _ = writeln!(v, "        @(posedge clk) #1;");
-        }
-    }
-    let _ = writeln!(v, "        codeword_valid = 0;");
-    let _ = writeln!(
-        v,
-        "        if (errors == 0) $display(\"PASS: %0d slices checked\", emitted);"
-    );
-    let _ = writeln!(v, "        else $display(\"FAIL: %0d errors\", errors);");
-    let _ = writeln!(v, "        $finish;");
-    let _ = writeln!(v, "    end");
-    let _ = writeln!(v, "endmodule");
-    v
-}
-
-#[cfg(test)]
-mod tb_tests {
-    use super::*;
-    use soc_model::TritVec;
-
-    fn slices() -> Vec<TritVec> {
-        vec![
-            "XXX1000X".parse().unwrap(),
-            "10110000".parse().unwrap(),
-            "XXXXXXXX".parse().unwrap(),
-        ]
-    }
-
-    #[test]
-    fn testbench_structure() {
-        let code = SliceCode::for_chains(8);
-        let tb = generate_testbench(code, "decomp", &slices());
-        assert!(tb.contains("module decomp_tb;"));
-        assert!(tb.contains("decomp dut ("));
-        assert!(tb.contains("$finish;"));
-        assert!(tb.trim_end().ends_with("endmodule"));
-        // One check per slice.
-        assert_eq!(tb.matches("check(8'b").count(), 3);
-    }
-
-    #[test]
-    fn masks_hide_dont_cares() {
-        let code = SliceCode::for_chains(8);
-        let tb = generate_testbench(code, "d", &slices());
-        // First slice XXX1000X: index 3 is the care-1 bit → MSB-first
-        // (bit7..bit0) expected 00001000; X at indices 0–2 and 7 → mask
-        // 01111000.
-        assert!(tb.contains("check(8'b00001000, 8'b01111000);"), "{tb}");
-        // All-X slice: zero mask.
-        assert!(tb.contains("check(8'b00000000, 8'b00000000);"));
-    }
-
-    #[test]
-    fn codeword_count_matches_encoder() {
-        let code = SliceCode::for_chains(8);
-        let enc = crate::Encoder::new(code);
-        let total: usize = slices().iter().map(|s| enc.encode_slice(s).len()).sum();
-        let tb = generate_testbench(code, "d", &slices());
-        assert_eq!(tb.matches("codeword_valid = 1;").count(), total);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one slice")]
-    fn empty_slice_list_panics() {
-        generate_testbench(SliceCode::for_chains(4), "d", &[]);
-    }
-}

@@ -10,7 +10,8 @@
 use proptest::prelude::*;
 
 use selenc::{
-    cube_cost_policy, cube_cost_scalar, CoreProfile, EvalCache, ProfileConfig, SliceCode,
+    cube_cost_policy, cube_cost_scalar, profile_entry_for_width, CoreProfile, EvalCache,
+    ProfileConfig, SliceCode,
 };
 use soc_model::{Core, CubeSynthesis};
 use wrapper::design_wrapper;
@@ -140,9 +141,9 @@ proptest! {
         }
     }
 
-    /// Building a profile through the shared evaluation cache — including
-    /// rebuilding off a warm cache — yields the plain builder's profile
-    /// bit for bit.
+    /// Building a profile width by width through the shared evaluation
+    /// cache — including rebuilding off a warm cache — yields the plain
+    /// builder's profile bit for bit.
     #[test]
     fn cached_profile_build_matches_plain(
         cells in 60u32..600,
@@ -155,8 +156,14 @@ proptest! {
         let cfg = ProfileConfig::new(max_width).m_candidates(candidates);
         let plain = CoreProfile::build(&core, &cfg);
         let cache = EvalCache::new(&core);
-        let cold = CoreProfile::build_cached(&cache, &cfg);
-        let warm = CoreProfile::build_cached(&cache, &cfg);
+        let off_cache = || {
+            let entries = (SliceCode::MIN_TAM_WIDTH..=max_width)
+                .filter_map(|w| profile_entry_for_width(&cache, w, &cfg, &|| false).unwrap())
+                .collect();
+            CoreProfile::from_entries(core.name(), entries)
+        };
+        let cold = off_cache();
+        let warm = off_cache();
         prop_assert_eq!(&plain, &cold);
         prop_assert_eq!(&plain, &warm);
     }

@@ -12,7 +12,8 @@ use fdr::compress_fdr;
 use lfsr::{compress_reseeding, ReseedOptions};
 use robust::CancelToken;
 use selenc::{
-    profile_entry_for_width, CoreProfile, EvalCache, ProfileConfig, ProfileEntry, SliceCode,
+    profile_entry_for_width, CoreProfile, EvalCache, Interrupted, ProfileConfig, ProfileEntry,
+    SliceCode,
 };
 use soc_model::Core;
 
@@ -58,6 +59,72 @@ impl CompressionMode {
             CompressionMode::Select => "select".into(),
         }
     }
+
+    /// The mode a [`label`](CompressionMode::label) names, if any.
+    pub(crate) fn from_label(label: &str) -> Option<Self> {
+        Some(match label {
+            "no-TDC" => CompressionMode::None,
+            "TDC/core" => CompressionMode::PerCore,
+            "TDC/TAM" => CompressionMode::PerTam,
+            "reseeding" => CompressionMode::Reseeding,
+            "FDR" => CompressionMode::Fdr,
+            "select" => CompressionMode::Select,
+            _ => {
+                let w = label.strip_prefix("TDC")?.trim().strip_prefix("w=")?;
+                CompressionMode::FixedWidth(w.parse().ok()?)
+            }
+        })
+    }
+
+    /// The operating-point sources a table entry is chosen from, in tie
+    /// order (see [`Source`]).
+    fn sources(self) -> Vec<Source> {
+        match self {
+            CompressionMode::None => vec![Source::Raw],
+            CompressionMode::PerCore => vec![Source::Raw, Source::Profile],
+            CompressionMode::PerTam => vec![Source::Widest],
+            CompressionMode::FixedWidth(wf) => vec![Source::Pinned(wf)],
+            CompressionMode::Reseeding => vec![Source::Reseed],
+            CompressionMode::Fdr => vec![Source::Fdr],
+            CompressionMode::Select => vec![Source::Raw, Source::Profile, Source::Fdr],
+        }
+    }
+
+    /// Whether the mode reads a core's selective-encoding profile, which
+    /// is what the on-disk profile cache holds.
+    pub(crate) fn reads_profile(self) -> bool {
+        self.sources().contains(&Source::Profile)
+    }
+
+    /// Whether the mode needs the cores' test cubes: every source but raw
+    /// access does.
+    pub(crate) fn needs_test_set(self) -> bool {
+        self.sources().iter().any(|&s| s != Source::Raw)
+    }
+}
+
+/// Where a mode draws a core's operating point at width `w` from. A table
+/// entry is the first minimum by test time over the mode's sources in list
+/// order, so an earlier source wins a tie: raw bypass beats selective
+/// encoding, and the per-core row beats FDR.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    /// Raw wrapper access: the best wrapper with at most `w` chains.
+    Raw,
+    /// The selective-encoding profile's best point at `≤ w` wires.
+    Profile,
+    /// The profile point searched at exactly this input width, offered at
+    /// that width and above (nothing below it).
+    Pinned(u32),
+    /// One shared decompressor per TAM, expanding its `w` wires to the
+    /// widest `m` of the width class.
+    Widest,
+    /// The shared decompressor indexed by the TAM's internal width `m`.
+    Internal,
+    /// FDR as a running minimum over widths: wires may be left unused.
+    Fdr,
+    /// LFSR reseeding at `w` wires.
+    Reseed,
 }
 
 /// The compression technique a decision settles on.
@@ -216,18 +283,14 @@ pub(crate) enum WidthWork {
     /// The cancel token tripped before this width was evaluated; assembly
     /// degrades it to the raw (uncompressed) decision where the mode allows.
     Skipped,
-    /// The mode computes nothing per width (raw-only modes).
-    Nothing,
-    /// A profile operating point (`None` = width class infeasible).
-    Entry(Option<ProfileEntry>),
-    /// A finished decision (`None` = no decision at this width).
-    Decision(Option<Decision>),
-    /// Technique selection: both candidate operating points.
-    Select {
-        /// Selective-encoding profile entry at this width.
+    /// What the mode's sources computed at exactly this width.
+    Done {
+        /// The selective-encoding profile entry (`None` = width class
+        /// infeasible, or no profile source searches this width).
         entry: Option<ProfileEntry>,
-        /// FDR decision at this width (before the running minimum).
-        fdr: Option<Decision>,
+        /// The decision of the mode's per-width source (shared
+        /// decompressor, FDR or reseeding), before any running minimum.
+        point: Option<Decision>,
     },
 }
 
@@ -279,11 +342,8 @@ impl TablePart {
 #[derive(Debug)]
 pub(crate) struct TableJob<'a> {
     core: &'a Core,
-    mode: CompressionMode,
-    /// Index the table by the TAM's internal width `m` instead of the
-    /// decompressor input width (the planner's shared-decompressor variant
-    /// under a TAM-wire budget).
-    internal: bool,
+    /// Where each width's operating point comes from, in tie order.
+    sources: Vec<Source>,
     max_width: u32,
     config: &'a DecisionConfig,
     profile_cfg: ProfileConfig,
@@ -309,6 +369,27 @@ impl<'a> TableJob<'a> {
         max_width: u32,
         config: &'a DecisionConfig,
     ) -> Self {
+        Self::with_sources(core, mode.sources(), max_width, config)
+    }
+
+    /// As [`new`](TableJob::new), but for the shared-decompressor mode
+    /// under an *internal* wire budget: `table[m - 1]` is the operating
+    /// point when the TAM's internal width is `m` (the decompressor input
+    /// width follows from the slice code).
+    pub(crate) fn per_tam_internal(
+        core: &'a Core,
+        max_width: u32,
+        config: &'a DecisionConfig,
+    ) -> Self {
+        Self::with_sources(core, vec![Source::Internal], max_width, config)
+    }
+
+    fn with_sources(
+        core: &'a Core,
+        sources: Vec<Source>,
+        max_width: u32,
+        config: &'a DecisionConfig,
+    ) -> Self {
         assert!(max_width > 0, "width budget must be positive");
         let mut profile_cfg = ProfileConfig::new(max_width);
         if let Some(s) = config.pattern_sample {
@@ -319,8 +400,7 @@ impl<'a> TableJob<'a> {
         }
         TableJob {
             core,
-            mode,
-            internal: false,
+            sources,
             max_width,
             config,
             profile_cfg,
@@ -330,7 +410,7 @@ impl<'a> TableJob<'a> {
     }
 
     /// Supplies a cached profile (see the `cached` field). Only the
-    /// profile-driven modes (`PerCore`, `Select`) consult it.
+    /// profile-reading modes consult it.
     pub(crate) fn with_cached_profile(mut self, profile: Option<CachedProfile>) -> Self {
         self.cached = profile;
         self
@@ -350,20 +430,6 @@ impl<'a> TableJob<'a> {
         let mut stats = self.cache.designs().stats();
         stats.absorb(self.cache.stats());
         stats
-    }
-
-    /// As [`new`](TableJob::new), but for the shared-decompressor mode
-    /// under an *internal* wire budget: `table[m - 1]` is the operating
-    /// point when the TAM's internal width is `m` (the decompressor input
-    /// width follows from the slice code).
-    pub(crate) fn per_tam_internal(
-        core: &'a Core,
-        max_width: u32,
-        config: &'a DecisionConfig,
-    ) -> Self {
-        let mut job = Self::new(core, CompressionMode::PerTam, max_width, config);
-        job.internal = true;
-        job
     }
 
     /// The full width range of this job (`1..max_width + 1`).
@@ -390,81 +456,62 @@ impl<'a> TableJob<'a> {
                 if token.is_cancelled() {
                     return WidthWork::Skipped;
                 }
-                self.compute_width(w, token)
+                match self.compute_width(w, token) {
+                    Ok((entry, point)) => WidthWork::Done { entry, point },
+                    Err(Interrupted) => WidthWork::Skipped,
+                }
             })
             .collect();
         TablePart { start, work }
     }
 
-    fn compute_width(&self, w: u32, token: &CancelToken) -> WidthWork {
+    /// Runs every source's per-width evaluation at width `w`, polling
+    /// `token` before each.
+    fn compute_width(
+        &self,
+        w: u32,
+        token: &CancelToken,
+    ) -> Result<(Option<ProfileEntry>, Option<Decision>), Interrupted> {
         let cancelled = || token.is_cancelled();
-        if self.internal {
-            let m_use = w.min(self.core.max_wrapper_chains());
-            let c = self
-                .cache
-                .evaluate_clamped(m_use, self.config.pattern_sample);
-            return WidthWork::Decision(Some(Decision {
-                test_time: c.test_time,
-                volume_bits: c.volume_bits,
-                decompressor: Some((c.code.tam_width(), c.code.chains())),
-                lfsr_len: None,
-                technique: Technique::SelectiveEncoding,
-            }));
-        }
-        match self.mode {
-            CompressionMode::None => WidthWork::Nothing,
-            CompressionMode::PerCore => {
-                if w < SliceCode::MIN_TAM_WIDTH {
-                    // No slice code fits; raw bypass decides these widths.
-                    return WidthWork::Entry(None);
-                }
-                if let Some(cached) = self.cached.as_ref().filter(|c| w <= c.covered) {
-                    // An absent entry below the covered bound means the
-                    // width is infeasible, exactly like `Ok(None)` below.
-                    return WidthWork::Entry(cached.profile.entry_at(w).copied());
-                }
-                match profile_entry_for_width(&self.cache, w, &self.profile_cfg, &cancelled) {
-                    Ok(entry) => WidthWork::Entry(entry),
-                    Err(_) => WidthWork::Skipped,
-                }
+        let (mut entry, mut point) = (None, None);
+        for &source in &self.sources {
+            if cancelled() {
+                return Err(Interrupted);
             }
-            CompressionMode::PerTam => WidthWork::Decision(Some(self.per_tam_decision(w))),
-            CompressionMode::FixedWidth(wf) => {
+            match source {
+                // Assembly answers raw access from the design cache.
+                Source::Raw => {}
+                Source::Profile => entry = self.profile_entry(w, &cancelled)?,
                 // Only the pinned width needs an evaluation; it is computed
                 // by whichever chunk covers it.
-                if w == wf && wf >= SliceCode::MIN_TAM_WIDTH {
-                    match profile_entry_for_width(&self.cache, wf, &self.profile_cfg, &cancelled) {
-                        Ok(entry) => WidthWork::Entry(entry),
-                        Err(_) => WidthWork::Skipped,
-                    }
-                } else {
-                    WidthWork::Nothing
-                }
-            }
-            CompressionMode::Reseeding => {
-                WidthWork::Decision(reseed_decision(self.core, w, self.config))
-            }
-            CompressionMode::Fdr => WidthWork::Decision(Some(self.fdr_decision(w))),
-            CompressionMode::Select => {
-                let entry = if w < SliceCode::MIN_TAM_WIDTH {
-                    None
-                } else if let Some(cached) = self.cached.as_ref().filter(|c| w <= c.covered) {
-                    cached.profile.entry_at(w).copied()
-                } else {
-                    match profile_entry_for_width(&self.cache, w, &self.profile_cfg, &cancelled) {
-                        Ok(entry) => entry,
-                        Err(_) => return WidthWork::Skipped,
-                    }
-                };
-                if cancelled() {
-                    return WidthWork::Skipped;
-                }
-                WidthWork::Select {
-                    entry,
-                    fdr: Some(self.fdr_decision(w)),
-                }
+                Source::Pinned(wf) if w == wf => entry = self.profile_entry(w, &cancelled)?,
+                Source::Pinned(_) => {}
+                Source::Widest => point = Some(self.per_tam_decision(w)),
+                Source::Internal => point = Some(self.internal_decision(w)),
+                Source::Fdr => point = Some(self.fdr_decision(w)),
+                Source::Reseed => point = reseed_decision(self.core, w, self.config),
             }
         }
+        Ok((entry, point))
+    }
+
+    /// The profile entry at exactly width `w`: from the cached profile
+    /// where it covers `w`, else searched.
+    fn profile_entry(
+        &self,
+        w: u32,
+        cancelled: &dyn Fn() -> bool,
+    ) -> Result<Option<ProfileEntry>, Interrupted> {
+        if w < SliceCode::MIN_TAM_WIDTH {
+            // No slice code fits; raw bypass decides these widths.
+            return Ok(None);
+        }
+        if let Some(cached) = self.cached.as_ref().filter(|c| w <= c.covered) {
+            // An absent entry below the covered bound means the width is
+            // infeasible, exactly like a searched `Ok(None)`.
+            return Ok(cached.profile.entry_at(w).copied());
+        }
+        profile_entry_for_width(&self.cache, w, &self.profile_cfg, cancelled)
     }
 
     /// Folds the parts (which must cover `1..=max_width` exactly, in
@@ -478,10 +525,14 @@ impl<'a> TableJob<'a> {
     }
 
     /// As [`assemble`](TableJob::assemble), but also hands back the
-    /// [`CoreProfile`] the profile-driven modes built along the way —
-    /// `Some` only when it is safe to cache: a profile mode, an external
-    /// width budget, and *no* width skipped by cancellation (a skipped
-    /// width in a stored profile would later read as infeasible).
+    /// [`CoreProfile`] the profile source built along the way — `Some`
+    /// only when it is safe to cache: the sources include the profile and
+    /// *no* width was skipped by cancellation (a skipped width in a stored
+    /// profile would later read as infeasible).
+    ///
+    /// Each width's entry is the first minimum by test time over the
+    /// sources' offers, in source order. A skipped width offers raw access
+    /// where a per-width source would have searched.
     ///
     /// # Panics
     ///
@@ -501,125 +552,59 @@ impl<'a> TableJob<'a> {
         }
         assert_eq!(work.len() as u32, self.max_width, "missing width parts");
 
-        let raw: Vec<Decision> = (1..=self.max_width).map(|w| self.raw_decision(w)).collect();
-        let mut built_profile: Option<CoreProfile> = None;
-        let table: Vec<Option<Decision>> = if self.internal {
-            work.iter()
-                .enumerate()
-                .map(|(i, ww)| match ww {
-                    WidthWork::Decision(d) => *d,
-                    // Cancelled before evaluation: degrade to raw access.
-                    _ => Some(raw[i]),
-                })
-                .collect()
-        } else {
-            match self.mode {
-                CompressionMode::None => raw.iter().copied().map(Some).collect(),
-                CompressionMode::PerCore => {
-                    let profile = self.profile_from(&work);
-                    let table = (1..=self.max_width)
-                        .map(|w| Some(merge_tdc(&profile, w, raw[(w - 1) as usize])))
-                        .collect();
-                    built_profile = Some(profile);
-                    table
-                }
-                CompressionMode::PerTam => work
-                    .iter()
-                    .enumerate()
-                    .map(|(i, ww)| match ww {
-                        WidthWork::Decision(d) => *d,
-                        _ => Some(raw[i]),
-                    })
-                    .collect(),
-                CompressionMode::FixedWidth(wf) => {
-                    let target = wf.min(self.max_width);
-                    let entry = match &work[(target - 1) as usize] {
-                        WidthWork::Entry(e) => e.map(entry_decision),
-                        // A tripped token can leave the pinned width
-                        // unevaluated; degrade to raw access rather than
-                        // declaring the core unschedulable.
-                        WidthWork::Skipped => Some(raw[(target - 1) as usize]),
-                        _ => None,
-                    };
-                    (1..=self.max_width)
-                        .map(|w| if w >= wf { entry } else { None })
-                        .collect()
-                }
-                CompressionMode::Reseeding => work
-                    .iter()
-                    .enumerate()
-                    .map(|(i, ww)| match ww {
-                        WidthWork::Decision(d) => *d,
-                        _ => Some(raw[i]),
-                    })
-                    .collect(),
-                CompressionMode::Fdr => {
-                    // Running minimum: wires may be left unused.
-                    let mut best: Option<Decision> = None;
-                    work.iter()
-                        .enumerate()
-                        .map(|(i, ww)| match ww {
-                            WidthWork::Decision(Some(d)) => {
-                                if best.is_none_or(|b| d.test_time < b.test_time) {
-                                    best = Some(*d);
-                                }
-                                best
+        // Chunks arrive in width order, so the entries are strictly
+        // increasing.
+        let entries = work.iter().filter_map(|ww| match ww {
+            WidthWork::Done { entry, .. } => *entry,
+            WidthWork::Skipped => None,
+        });
+        let profile = CoreProfile::from_entries(self.core.name(), entries.collect());
+        // Carried across widths: the pinned width's decision and FDR's
+        // running minimum.
+        let (mut pinned, mut fdr_best) = (None::<Decision>, None::<Decision>);
+        let table = (1..=self.max_width)
+            .zip(&work)
+            .map(|(w, ww)| {
+                let raw = self.raw_decision(w);
+                let (entry, point) = match ww {
+                    WidthWork::Done { entry, point } => (entry.map(entry_decision), *point),
+                    WidthWork::Skipped => (Some(raw), Some(raw)),
+                };
+                let offer = |source| match source {
+                    Source::Raw => Some(raw),
+                    Source::Profile => profile.best_at_most(w).copied().map(entry_decision),
+                    Source::Pinned(wf) => {
+                        if w == wf {
+                            pinned = entry;
+                        }
+                        pinned
+                    }
+                    Source::Widest | Source::Internal | Source::Reseed => point,
+                    Source::Fdr => {
+                        if let WidthWork::Done { point: Some(d), .. } = ww {
+                            if fdr_best.is_none_or(|b| d.test_time < b.test_time) {
+                                fdr_best = Some(*d);
                             }
-                            _ => Some(best.unwrap_or(raw[i])),
-                        })
-                        .collect()
-                }
-                CompressionMode::Select => {
-                    let profile = self.profile_from(&work);
-                    let mut fdr_best: Option<Decision> = None;
-                    let table = work
-                        .iter()
-                        .enumerate()
-                        .map(|(i, ww)| {
-                            let w = i as u32 + 1;
-                            let selenc_d = merge_tdc(&profile, w, raw[i]);
-                            let fdr_d = match ww {
-                                WidthWork::Select { fdr: Some(d), .. } => {
-                                    if fdr_best.is_none_or(|b| d.test_time < b.test_time) {
-                                        fdr_best = Some(*d);
-                                    }
-                                    fdr_best
-                                }
-                                _ => Some(fdr_best.unwrap_or(raw[i])),
-                            };
-                            [Some(selenc_d), fdr_d]
-                                .into_iter()
-                                .flatten()
-                                .min_by_key(|d| d.test_time)
-                        })
-                        .collect();
-                    built_profile = Some(profile);
-                    table
-                }
-            }
-        };
+                        }
+                        Some(fdr_best.unwrap_or(raw))
+                    }
+                };
+                self.sources
+                    .iter()
+                    .copied()
+                    .filter_map(offer)
+                    .min_by_key(|d| d.test_time)
+            })
+            .collect();
         let complete = !work.iter().any(|ww| matches!(ww, WidthWork::Skipped));
+        let cacheable = complete && self.sources.contains(&Source::Profile);
         (
             DecisionTable {
                 name: self.core.name().to_string(),
                 table,
             },
-            built_profile.filter(|_| complete),
+            cacheable.then_some(profile),
         )
-    }
-
-    /// Collects the profile entries scattered across the work items into a
-    /// [`CoreProfile`] (chunks are in width order, so entries arrive
-    /// strictly increasing).
-    fn profile_from(&self, work: &[WidthWork]) -> CoreProfile {
-        let entries: Vec<ProfileEntry> = work
-            .iter()
-            .filter_map(|ww| match ww {
-                WidthWork::Entry(e) | WidthWork::Select { entry: e, .. } => *e,
-                _ => None,
-            })
-            .collect();
-        CoreProfile::from_entries(self.core.name(), entries)
     }
 
     /// Raw (uncompressed) decision at width `w`: the best wrapper with at
@@ -661,6 +646,23 @@ impl<'a> TableJob<'a> {
         }
     }
 
+    /// Shared-decompressor decision on a TAM of internal width `m`: the
+    /// decompressor drives `m` chains (capped at the core's), its input
+    /// width follows from the slice code.
+    fn internal_decision(&self, m: u32) -> Decision {
+        let m_use = m.min(self.core.max_wrapper_chains());
+        let c = self
+            .cache
+            .evaluate_clamped(m_use, self.config.pattern_sample);
+        Decision {
+            test_time: c.test_time,
+            volume_bits: c.volume_bits,
+            decompressor: Some((c.code.tam_width(), c.code.chains())),
+            lfsr_len: None,
+            technique: Technique::SelectiveEncoding,
+        }
+    }
+
     /// FDR decision at exactly width `w` (the running minimum across
     /// widths is applied during assembly).
     fn fdr_decision(&self, w: u32) -> Decision {
@@ -683,15 +685,6 @@ fn entry_decision(e: ProfileEntry) -> Decision {
         decompressor: Some((e.tam_width, e.chains)),
         lfsr_len: None,
         technique: Technique::SelectiveEncoding,
-    }
-}
-
-/// The per-core TDC decision at width `w`: the profile's best operating
-/// point at `≤ w` wires, with automatic bypass when raw access is faster.
-fn merge_tdc(profile: &CoreProfile, w: u32, bypass: Decision) -> Decision {
-    match profile.best_at_most(w).map(|e| entry_decision(*e)) {
-        Some(t) if t.test_time < bypass.test_time => t,
-        _ => bypass,
     }
 }
 
@@ -874,6 +867,68 @@ mod tests {
         .map(|m| m.label())
         .collect();
         assert_eq!(labels.len(), 7);
+    }
+
+    #[test]
+    fn all_modes_roundtrip_their_keyword() {
+        for mode in [
+            CompressionMode::None,
+            CompressionMode::PerCore,
+            CompressionMode::PerTam,
+            CompressionMode::FixedWidth(4),
+            CompressionMode::Reseeding,
+            CompressionMode::Fdr,
+            CompressionMode::Select,
+        ] {
+            assert_eq!(CompressionMode::from_label(&mode.label()), Some(mode));
+        }
+        assert_eq!(CompressionMode::from_label("TDC w=x"), None);
+    }
+
+    #[test]
+    fn a_cancelled_build_degrades_every_mode_to_raw_access() {
+        const W: u32 = 8;
+        let core = prepared(0.05);
+        let cfg = DecisionConfig {
+            pattern_sample: Some(4),
+            m_candidates: 4,
+        };
+        let cancelled = CancelToken::never();
+        cancelled.cancel();
+        let degraded = |mode| DecisionTable::build_with(&core, mode, W, &cfg, &cancelled);
+        let raw = DecisionTable::build(&core, CompressionMode::None, W, &cfg);
+        for mode in [
+            CompressionMode::None,
+            CompressionMode::PerCore,
+            CompressionMode::Select,
+            CompressionMode::Fdr,
+            CompressionMode::PerTam,
+            CompressionMode::Reseeding,
+        ] {
+            assert_eq!(degraded(mode), raw, "{mode:?}");
+        }
+        // A pinned width offers raw access at and above itself only.
+        let pinned = degraded(CompressionMode::FixedWidth(4));
+        for w in 1..=W {
+            assert_eq!(
+                pinned.decision(w),
+                raw.decision(4).filter(|_| w >= 4),
+                "w={w}"
+            );
+        }
+        for wf in [0, W + 1] {
+            let t = degraded(CompressionMode::FixedWidth(wf));
+            assert!(t.time_row().iter().all(Option::is_none), "w={wf}");
+        }
+        // A skipped width keeps the profile out of the cache; a complete
+        // build hands it back.
+        for mode in [CompressionMode::PerCore, CompressionMode::Select] {
+            let job = TableJob::new(&core, mode, W, &cfg);
+            let build =
+                |token| job.assemble_with_profile(vec![job.compute(job.width_range(), token)]);
+            assert_eq!(build(&cancelled), (raw.clone(), None), "{mode:?}");
+            assert!(build(&CancelToken::never()).1.is_some(), "{mode:?}");
+        }
     }
 }
 

@@ -33,7 +33,7 @@ use crate::planner::{Budget, CoreSetting, Plan};
 pub fn write_plan(plan: &Plan) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "plan v1");
-    let _ = writeln!(out, "mode {}", mode_keyword(plan.mode));
+    let _ = writeln!(out, "mode {}", plan.mode.label());
     let (kind, width) = match plan.budget {
         Budget::TamWidth(w) => ("tam", w),
         Budget::AteChannels(w) => ("ate", w),
@@ -99,7 +99,9 @@ pub fn parse_plan(text: &str) -> Result<Plan, ParsePlanError> {
         match t.next() {
             Some("mode") => {
                 let kw = t.next().ok_or_else(|| err(idx + 1, "mode needs a value"))?;
-                mode = Some(parse_mode(kw).ok_or_else(|| err(idx + 1, "unknown mode"))?);
+                mode = Some(
+                    CompressionMode::from_label(kw).ok_or_else(|| err(idx + 1, "unknown mode"))?,
+                );
             }
             Some("budget") => {
                 let kind = t
@@ -283,25 +285,6 @@ fn parse_core_line<'a>(
     })
 }
 
-fn mode_keyword(mode: CompressionMode) -> String {
-    mode.label()
-}
-
-fn parse_mode(kw: &str) -> Option<CompressionMode> {
-    Some(match kw {
-        "no-TDC" => CompressionMode::None,
-        "TDC/core" => CompressionMode::PerCore,
-        "TDC/TAM" => CompressionMode::PerTam,
-        "reseeding" => CompressionMode::Reseeding,
-        "FDR" => CompressionMode::Fdr,
-        "select" => CompressionMode::Select,
-        _ => {
-            let w = kw.strip_prefix("TDC")?.trim().strip_prefix("w=")?;
-            CompressionMode::FixedWidth(w.parse().ok()?)
-        }
-    })
-}
-
 fn num<T: std::str::FromStr>(tok: Option<&str>, idx: usize) -> Result<T, ParsePlanError> {
     tok.and_then(|s| s.parse().ok())
         .ok_or_else(|| err(idx + 1, "expected a number"))
@@ -475,21 +458,6 @@ mod tests {
         );
         let e = parse_plan(&text).unwrap_err();
         assert!(e.to_string().contains("overflow"), "got: {e}");
-    }
-
-    #[test]
-    fn all_modes_roundtrip_their_keyword() {
-        for mode in [
-            CompressionMode::None,
-            CompressionMode::PerCore,
-            CompressionMode::PerTam,
-            CompressionMode::FixedWidth(4),
-            CompressionMode::Reseeding,
-            CompressionMode::Fdr,
-            CompressionMode::Select,
-        ] {
-            assert_eq!(parse_mode(&mode_keyword(mode)), Some(mode), "{mode:?}");
-        }
     }
 
     #[test]

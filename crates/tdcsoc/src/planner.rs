@@ -163,14 +163,11 @@ impl Planner {
 
     /// Whether this planner reads (and fills) the on-disk profile cache
     /// of [`PlanControl::cache_profiles_in`]; other modes ignore it. Only
-    /// the profile-driven modes do: their per-core profile at width `W`
-    /// answers every narrower width too, so one entry serves a whole
-    /// width sweep.
+    /// the modes that read a selective-encoding profile do: their per-core
+    /// profile at width `W` answers every narrower width too, so one entry
+    /// serves a whole width sweep.
     pub fn reads_profile_cache(&self) -> bool {
-        matches!(
-            self.mode,
-            CompressionMode::PerCore | CompressionMode::Select
-        )
+        self.mode.reads_profile()
     }
 
     /// Plans the SOC test: builds per-core decision tables, partitions the
@@ -240,7 +237,7 @@ impl Planner {
                 tams: 0,
             }));
         }
-        if self.mode != CompressionMode::None {
+        if self.mode.needs_test_set() {
             for core in soc.cores() {
                 if core.test_set().is_none() {
                     return Err(PlanError::MissingTestSet {
@@ -269,7 +266,7 @@ impl Planner {
         // oversubscribed with a thread per core. Results are assembled in
         // core and width order, so the plan stays deterministic at any
         // worker count.
-        // The profile cache applies only to the profile-driven modes
+        // The profile cache applies only to the profile-reading modes
         // (`reads_profile_cache`). Entries are keyed by each core's
         // content fingerprint (computed once per job, via the shared
         // evaluation cache) rather than the width budget: a cached profile
@@ -1115,6 +1112,32 @@ mod tests {
             .plan(&soc, &fast(PlanRequest::tam_width(16)))
             .unwrap();
         assert!(free.test_time <= fixed.test_time);
+    }
+
+    #[test]
+    fn fixed_width_zero_is_unschedulable_like_widths_one_and_two() {
+        // No slice code fits fewer than three wires, so no core gets a
+        // decision at any width.
+        let soc = Design::D695.build_with_cubes(1);
+        let request = PlanRequest::tam_width(16);
+        let unschedulable = |plan: Result<Plan, PlanError>| {
+            matches!(
+                plan,
+                Err(PlanError::Schedule(ScheduleError::CoreUnschedulable { .. }))
+            )
+        };
+        for w in [0, 1, 2] {
+            assert!(
+                unschedulable(Planner::fixed_width_tdc(w).plan(&soc, &request)),
+                "w={w}"
+            );
+        }
+        // A cancelled build degrades a pinned width to raw access, but
+        // width 0 pins no width at all.
+        let control = PlanControl::default();
+        control.token.cancel();
+        let plan = Planner::fixed_width_tdc(0).plan_with(&soc, &request, &control);
+        assert!(unschedulable(plan));
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //! let design = design_wrapper(&core, 4);
 //! assert_eq!(design.chain_count(), 4);
 //!
-//! // The planner consumes the Pareto frontier of (width, test time).
+//! // The Pareto frontier of (width, test time): the chain counts that
+//! // lower the test time. (The planner asks a `DesignCache` for the best
+//! // design at ≤ w chains instead.)
 //! let frontier = pareto_points(&core, 16);
 //! assert!(frontier.len() > 1);
 //! # Ok::<(), soc_model::BuildCoreError>(())
@@ -36,14 +38,12 @@
 
 mod cache;
 mod design;
-mod ieee1500;
 mod pareto;
 mod power;
 mod slicemat;
 
 pub use cache::{DesignCache, DesignPoint, DEFAULT_DESIGN_BYTES, DEFAULT_DESIGN_ENTRIES};
 pub use design::{design_wrapper, ChainLayout, Slices, WrapperDesign};
-pub use ieee1500::{reconfiguration_overhead, tam_time_with_control, Wir, WrapperMode, WIR_LENGTH};
-pub use pareto::{best_design_up_to, pareto_points, test_time_at, WrapperPoint};
+pub use pareto::{best_design_up_to, pareto_points, WrapperPoint};
 pub use power::{estimate_scan_power, weighted_transitions, Fill, ScanPower};
 pub use slicemat::ChainPlanes;

@@ -23,23 +23,6 @@ pub struct WrapperPoint {
     pub test_time: u64,
 }
 
-/// Computes the uncompressed test time of `core` with `m` wrapper chains.
-///
-/// Convenience over [`design_wrapper`] + [`WrapperDesign::test_time`].
-///
-/// ```
-/// use soc_model::Core;
-/// use wrapper::test_time_at;
-///
-/// let core = Core::builder("c").inputs(8).fixed_chains(vec![16, 16])
-///     .pattern_count(10).build()?;
-/// assert!(test_time_at(&core, 4) <= test_time_at(&core, 1));
-/// # Ok::<(), soc_model::BuildCoreError>(())
-/// ```
-pub fn test_time_at(core: &Core, m: u32) -> u64 {
-    design_wrapper(core, m).test_time(u64::from(core.pattern_count()))
-}
-
 /// Enumerates the Pareto-optimal wrapper operating points of `core` for
 /// chain counts `1..=max_chains`: points are emitted in increasing chain
 /// count and strictly decreasing test time (dominated widths are skipped).
@@ -105,6 +88,10 @@ mod tests {
             .unwrap()
     }
 
+    fn time_at(core: &Core, m: u32) -> u64 {
+        design_wrapper(core, m).test_time(u64::from(core.pattern_count()))
+    }
+
     #[test]
     fn pareto_points_strictly_improve() {
         let pts = pareto_points(&core(), 16);
@@ -119,14 +106,14 @@ mod tests {
     fn first_point_is_single_chain() {
         let pts = pareto_points(&core(), 16);
         assert_eq!(pts[0].chains, 1);
-        assert_eq!(pts[0].test_time, test_time_at(&core(), 1));
+        assert_eq!(pts[0].test_time, time_at(&core(), 1));
     }
 
     #[test]
     fn best_design_matches_min_over_range() {
         let c = core();
         let (_, best) = best_design_up_to(&c, 6);
-        let brute = (1..=6).map(|m| test_time_at(&c, m)).min().unwrap();
+        let brute = (1..=6).map(|m| time_at(&c, m)).min().unwrap();
         assert_eq!(best, brute);
     }
 
@@ -139,7 +126,7 @@ mod tests {
             let pts = pareto_points(c, 16);
             let best = pts.last().unwrap().test_time;
             for m in 1..=16 {
-                assert!(test_time_at(c, m) >= best, "{} m={m}", c.name());
+                assert!(time_at(c, m) >= best, "{} m={m}", c.name());
             }
         }
     }

@@ -95,6 +95,28 @@ proptest! {
         }
     }
 
+    /// Ties go to the earlier technique: Select's decision is the first
+    /// minimum of the raw, per-core and FDR decisions in that order, and
+    /// per-core bypasses to raw access wherever it is no faster.
+    #[test]
+    fn select_breaks_ties_in_technique_order(core in prepared_core()) {
+        let build = |mode| DecisionTable::build(&core, mode, 8, &cfg());
+        let sel = build(CompressionMode::Select);
+        let raw = build(CompressionMode::None);
+        let pc = build(CompressionMode::PerCore);
+        let fd = build(CompressionMode::Fdr);
+        for w in 1..=8 {
+            let (r, p) = (raw.decision(w).unwrap(), pc.decision(w).unwrap());
+            let first = [r, p, fd.decision(w).unwrap()]
+                .into_iter()
+                .min_by_key(|d| d.test_time);
+            prop_assert_eq!(sel.decision(w), first, "w={}", w);
+            if p.test_time == r.test_time {
+                prop_assert_eq!(p, r, "w={}", w);
+            }
+        }
+    }
+
     /// Per-TAM decisions exist at every width and use the full TAM as the
     /// decompressor input (above the minimum code width).
     #[test]

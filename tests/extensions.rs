@@ -1,6 +1,6 @@
 //! Integration tests for the extension features working *together* on
 //! planner output: response compaction, truncation with quality tracking,
-//! multi-frequency TAMs, conflict groups, and RTL emission.
+//! multi-frequency TAMs and conflict groups.
 
 #![forbid(unsafe_code)]
 
@@ -9,8 +9,6 @@ use soc_tdc::model::compaction::{compact, covers};
 use soc_tdc::planner::{
     plan_response_compaction, truncate_to_fit, AteSpec, DecisionConfig, PlanRequest, Planner,
 };
-use soc_tdc::selenc::generate_testbench;
-use soc_tdc::selenc::SliceCode;
 use soc_tdc::tam::{
     conflict_schedule, multifreq_schedule, validate_multifreq, Conflicts, CostModel, FreqTam,
 };
@@ -114,27 +112,4 @@ fn compaction_composes_with_power_estimation() {
     assert!(p_orig.average > 0.0 && p_comp.average > 0.0);
     // Compacted cubes are denser → more switching per cycle.
     assert!(p_comp.average >= p_orig.average * 0.9);
-}
-
-#[test]
-fn rtl_testbench_for_a_planned_decompressor() {
-    let soc = Design::System1.build_with_cubes(4);
-    let plan = Planner::per_core_tdc().plan(&soc, &fast(16)).unwrap();
-    let s = plan
-        .core_settings
-        .iter()
-        .find(|s| s.decompressor.is_some())
-        .expect("industrial cores engage TDC");
-    let (_, m) = s.decompressor.unwrap();
-    let core = soc.core(s.core).unwrap();
-    let design = design_wrapper(core, m);
-    let cube = core.test_set().unwrap().pattern(0).unwrap();
-    let slices: Vec<_> = design.slices(cube).take(4).collect();
-    let code = SliceCode::for_chains(design.chain_count());
-    let tb = generate_testbench(code, "planned_decomp", &slices);
-    assert!(tb.contains("module planned_decomp_tb;"));
-    assert_eq!(
-        tb.matches("check(").count(),
-        4 + 1 /* task definition */
-    );
 }
