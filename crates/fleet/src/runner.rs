@@ -206,8 +206,8 @@ impl std::fmt::Display for FleetSummary {
         writeln!(f, "{}", self.stats.profile_cache_line())?;
         writeln!(
             f,
-            "memo caches: {} hits, {} misses, {} evictions",
-            self.stats.memo.hits, self.stats.memo.misses, self.stats.memo.evictions
+            "memo caches: {} hits, {} misses",
+            self.stats.memo.hits, self.stats.memo.misses
         )?;
         write!(
             f,

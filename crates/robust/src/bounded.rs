@@ -1,10 +1,12 @@
 //! A deterministic bounded LRU cache for the workspace's shared memos.
 //!
-//! Every long-lived cache in the planning stack (`wrapper::DesignCache`,
-//! `selenc::EvalCache`, the serve daemon's profile memo) is bounded by a
-//! [`BoundedCache`]: entries are evicted least-recently-used first once
-//! either the entry cap or the byte cap is exceeded, so a daemon serving
-//! many designs cannot grow without bound.
+//! The planning stack's long-lived in-memory caches — `tdcsoc::SocCache`
+//! (the built SOCs that serve and fleet share) and the serve daemon's
+//! plan-text memo — are bounded by a [`BoundedCache`]: entries are evicted
+//! least-recently-used first once either the entry cap or the byte cap is
+//! exceeded, so a daemon serving many designs cannot grow without bound.
+//! The planner's per-core memo (`selenc::EvalCache`) lives for one plan's
+//! table stage and needs no bound.
 //!
 //! The implementation is deliberately clock- and hash-free — recency is a
 //! logical tick, storage is `BTreeMap` — so eviction order is a pure

@@ -75,7 +75,7 @@ pub use lut::{
     core_fingerprint, profile_entry_for_width, CoreProfile, Interrupted, ProfileConfig,
     ProfileCsvError, ProfileEntry,
 };
-pub use memo::{EvalCache, DEFAULT_EVAL_BYTES, DEFAULT_EVAL_ENTRIES};
+pub use memo::EvalCache;
 pub use rtl::generate_verilog;
 pub use stream::{
     compress_sampled, compress_test_set, cube_cost, cube_cost_policy, cube_cost_scalar,

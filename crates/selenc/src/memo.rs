@@ -1,36 +1,38 @@
-//! Memoized compression evaluations for one core.
+//! The per-core memo of the decision-table stage.
 //!
-//! A [`Compressed`] result depends only on the chain count `m` and the
-//! pattern sample — not on the TAM width the caller happens to be
-//! considering — yet the decision-table builder, the per-TAM internal
-//! planner mode and the benchmarks all evaluate overlapping `m` ranges.
-//! [`EvalCache`] wraps a [`DesignCache`] and memoizes
-//! [`compress_sampled`](crate::compress_sampled) results so each distinct
-//! operating point is compressed exactly once per core, no matter how many
-//! widths, modes or threads ask for it.
+//! The lookup tables (paper §3, steps 1–2) ask one core for the same
+//! operating points over and over: every profile width, every decision
+//! table source and every raw-access row re-derives them from the same few
+//! hundred chain counts. [`EvalCache`] computes each of them once per
+//! core:
+//!
+//! - per clamped chain count, the wrapper's [`WrapperPoint`]: a few
+//!   numbers, not the whole design;
+//! - per (effective chain count, sample), the [`Compressed`] evaluation;
+//! - the raw row's prefix minimum over chain counts, and the core's
+//!   content stamp.
+//!
+//! A lookup takes its key's slot under the map lock and fills it outside,
+//! so threads that ask for one key at once compute it once: the others
+//! wait for the slot and count a hit. The counters are therefore exact at
+//! any worker count. The memo lives as long as one table job or one
+//! profile build, so it needs no caps.
 
-use std::sync::{Mutex, OnceLock};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use robust::{BoundedCache, CacheLimits, CacheStats};
+use robust::CacheStats;
 use soc_model::Core;
-use wrapper::DesignCache;
+use wrapper::{design_wrapper, WrapperDesign, WrapperPoint};
 
 use crate::stream::{compress_sampled, Compressed};
 
-/// Default entry cap for the per-core evaluation memo. An evaluation is
-/// keyed by (chain count, sample), so even exhaustive profile sweeps stay
-/// far below this; the cap is a backstop for long-lived servers.
-pub const DEFAULT_EVAL_ENTRIES: usize = 65_536;
-
-/// Default byte cap for the per-core evaluation memo (4 MiB of
-/// [`Compressed`] summaries).
-pub const DEFAULT_EVAL_BYTES: usize = 4 << 20;
-
-/// Per-core bounded memo of sampled compression results, keyed by the
-/// effective chain count and sample size. Entries are evicted
-/// least-recently-used once the entry or byte cap is hit; eviction only
-/// ever costs recomputation, never changes a result
-/// ([`compress_sampled`] is deterministic in its key).
+/// Per-core memo of wrapper points and sampled compression results.
+///
+/// Chain counts above [`Core::max_wrapper_chains`] produce the same design
+/// as the cap itself, so they share the cap's point. An evaluation is
+/// keyed by the effective chain count and the sample, and a sample that
+/// covers the whole test set shares the exact key.
 ///
 /// Shared by reference across planner worker threads; all methods take
 /// `&self`.
@@ -45,48 +47,39 @@ pub const DEFAULT_EVAL_BYTES: usize = 4 << 20;
 /// let (_, core) = soc.core_by_name("s13207").expect("d695 core");
 /// let cache = EvalCache::new(core);
 /// assert_eq!(cache.evaluate_point(8, Some(4)), evaluate_point(core, 8, Some(4)));
+/// assert_eq!(cache.evaluate_point(8, Some(4)), evaluate_point(core, 8, Some(4)));
+/// let stats = cache.stats();
+/// assert_eq!((stats.hits, stats.misses), (2, 2)); // one point, one evaluation
 /// ```
-// BoundedCache is BTreeMap-backed, not hash-backed: the memo is shared
-// across planner threads and a hash-ordered drain sneaking in later would
-// be a worker-count-dependent bug. Compression dominates the lookup cost.
+// BTreeMap, not a hash map: the memo is shared across planner threads and
+// a hash-ordered drain sneaking in later would be a worker-count-dependent
+// bug.
 #[derive(Debug)]
 pub struct EvalCache<'a> {
-    designs: DesignCache<'a>,
-    evals: Mutex<BoundedCache<(u32, Option<usize>), Compressed>>,
+    core: &'a Core,
+    /// `max_wrapper_chains().max(1)`; every point key is clamped to
+    /// `1..=cap`.
+    cap: u32,
+    points: Mutex<OnceMap<u32, WrapperPoint>>,
+    evals: Mutex<OnceMap<(u32, Option<usize>), Compressed>>,
+    /// `prefix[i]` is the best point over `m ∈ 1..=i+1`, ties keeping the
+    /// smallest chain count. Extended as wider queries arrive.
+    prefix: Mutex<Vec<WrapperPoint>>,
     /// Lazily computed [`core_fingerprint`](crate::core_fingerprint) of
     /// the core — the dirty-tracking key for everything derived from this
     /// cache (on-disk profiles, incremental rebuilds).
     stamp: OnceLock<u64>,
 }
 
-/// Approximate bytes one memoized evaluation pins (key + value + tree
-/// node overhead, rounded up).
-const EVAL_ENTRY_BYTES: usize =
-    std::mem::size_of::<(u32, Option<usize>)>() + std::mem::size_of::<Compressed>() + 64;
-
 impl<'a> EvalCache<'a> {
-    /// Creates an empty cache for `core` with the default bounds
-    /// ([`DEFAULT_EVAL_ENTRIES`] / [`DEFAULT_EVAL_BYTES`] for evaluations,
-    /// the [`DesignCache`] defaults for designs). Nothing is computed up
-    /// front.
+    /// Creates an empty cache for `core`. Nothing is computed up front.
     pub fn new(core: &'a Core) -> Self {
-        EvalCache::with_limits(
-            core,
-            CacheLimits::new(
-                wrapper::DEFAULT_DESIGN_ENTRIES,
-                wrapper::DEFAULT_DESIGN_BYTES,
-            ),
-            CacheLimits::new(DEFAULT_EVAL_ENTRIES, DEFAULT_EVAL_BYTES),
-        )
-    }
-
-    /// Creates an empty cache with explicit caps for the design memo and
-    /// the evaluation memo. Tighter caps trade recomputation for memory;
-    /// they never change any returned evaluation.
-    pub fn with_limits(core: &'a Core, designs: CacheLimits, evals: CacheLimits) -> Self {
         EvalCache {
-            designs: DesignCache::with_limits(core, designs),
-            evals: Mutex::new(BoundedCache::new(evals)),
+            core,
+            cap: core.max_wrapper_chains().max(1),
+            points: Mutex::default(),
+            evals: Mutex::default(),
+            prefix: Mutex::new(Vec::new()),
             stamp: OnceLock::new(),
         }
     }
@@ -101,27 +94,38 @@ impl<'a> EvalCache<'a> {
     pub fn content_stamp(&self) -> u64 {
         *self
             .stamp
-            .get_or_init(|| crate::lut::core_fingerprint(self.core()))
+            .get_or_init(|| crate::lut::core_fingerprint(self.core))
     }
 
-    /// Hit/miss/eviction counters of the evaluation memo.
+    /// Counters over points and evaluations: hits are lookups answered
+    /// without computing, misses are values computed.
     pub fn stats(&self) -> CacheStats {
-        self.evals.lock().expect("eval memo poisoned").stats()
-    }
-
-    /// Bytes currently pinned by memoized evaluations.
-    pub fn resident_bytes(&self) -> usize {
-        self.evals.lock().expect("eval memo poisoned").bytes()
-    }
-
-    /// The underlying wrapper-design memo.
-    pub fn designs(&self) -> &DesignCache<'a> {
-        &self.designs
+        let mut stats = self.points.lock().expect("memo poisoned").stats();
+        stats.absorb(self.evals.lock().expect("memo poisoned").stats());
+        stats
     }
 
     /// The core this cache evaluates.
     pub fn core(&self) -> &'a Core {
-        self.designs.core()
+        self.core
+    }
+
+    /// The best (lowest uncompressed test time) wrapper point using at
+    /// most `max_chains` chains, the smallest chain count on ties — the
+    /// memoized equivalent of
+    /// [`best_design_up_to`](wrapper::best_design_up_to).
+    pub fn best_up_to(&self, max_chains: u32) -> WrapperPoint {
+        let limit = max_chains.clamp(1, self.cap);
+        let mut prefix = self.prefix.lock().expect("prefix poisoned");
+        for m in prefix.len() as u32 + 1..=limit {
+            let (point, _) = self.point(m);
+            let best = match prefix.last() {
+                Some(&best) if best.test_time <= point.test_time => best,
+                _ => point,
+            };
+            prefix.push(best);
+        }
+        prefix[limit as usize - 1]
     }
 
     /// Memoized [`evaluate_clamped`](crate::evaluate_clamped).
@@ -131,25 +135,8 @@ impl<'a> EvalCache<'a> {
     /// Panics if the core has no attached test set or `m == 0`.
     pub fn evaluate_clamped(&self, m: u32, sample: Option<usize>) -> Compressed {
         assert!(m > 0, "chain count must be positive");
-        let core = self.core();
-        let test_set = core
-            .test_set()
-            .expect("core must carry a test set; call synthesize_missing_test_sets first");
-        let point = self.designs.design_at(m);
-        // Normalize the key: chain counts collapse to the effective design,
-        // and any sample covering the whole set is the exact computation.
-        let p = test_set.pattern_count();
-        let key = (point.design.chain_count(), sample.filter(|&s| s < p.max(1)));
-        if let Some(hit) = self.evals.lock().expect("eval memo poisoned").get(&key) {
-            return *hit;
-        }
-        let sample = sample.unwrap_or(p.max(1));
-        let result = compress_sampled(&point.design, test_set, sample);
-        self.evals
-            .lock()
-            .expect("eval memo poisoned")
-            .insert(key, result, EVAL_ENTRY_BYTES);
-        result
+        let (point, design) = self.point(m);
+        self.evaluate(m, point.chains, design, sample)
     }
 
     /// Memoized [`evaluate_point`](crate::evaluate_point): `None` when the
@@ -159,18 +146,117 @@ impl<'a> EvalCache<'a> {
     ///
     /// Panics if the core has no attached test set.
     pub fn evaluate_point(&self, m: u32, sample: Option<usize>) -> Option<Compressed> {
-        if m == 0 || self.designs.design_at(m).design.chain_count() != m {
+        if m == 0 {
             return None;
         }
-        Some(self.evaluate_clamped(m, sample))
+        let (point, design) = self.point(m);
+        (point.chains == m).then(|| self.evaluate(m, m, design, sample))
     }
+
+    /// The wrapper point at chain count `m` (clamped to `1..=cap`), plus
+    /// the design when this call built it, so an evaluation miss right
+    /// after need not build it again.
+    fn point(&self, m: u32) -> (WrapperPoint, Option<WrapperDesign>) {
+        let key = m.clamp(1, self.cap);
+        let mut built = None;
+        let point = get_or_fill(&self.points, key, || {
+            let design = design_wrapper(self.core, key);
+            let point = WrapperPoint {
+                chains: design.chain_count(),
+                scan_in: design.scan_in_length(),
+                scan_out: design.scan_out_length(),
+                test_time: design.test_time(u64::from(self.core.pattern_count())),
+            };
+            built = Some(design);
+            point
+        });
+        (point, built)
+    }
+
+    /// The evaluation of the design at chain count `m`, which has `chains`
+    /// effective chains; `design` is that design when the caller holds it.
+    fn evaluate(
+        &self,
+        m: u32,
+        chains: u32,
+        design: Option<WrapperDesign>,
+        sample: Option<usize>,
+    ) -> Compressed {
+        let test_set = self
+            .core
+            .test_set()
+            .expect("core must carry a test set; call synthesize_missing_test_sets first");
+        // Any sample covering the whole set is the exact computation.
+        let patterns = test_set.pattern_count().max(1);
+        let key = (chains, sample.filter(|&s| s < patterns));
+        get_or_fill(&self.evals, key, || {
+            let design = design.unwrap_or_else(|| design_wrapper(self.core, m));
+            compress_sampled(&design, test_set, sample.unwrap_or(patterns))
+        })
+    }
+}
+
+/// Compute-once slots keyed by `K`, shared behind a mutex: the first
+/// caller to ask for a key takes its slot, and [`get_or_fill`] fills it
+/// outside the lock.
+#[derive(Debug)]
+struct OnceMap<K, V> {
+    slots: BTreeMap<K, Arc<OnceLock<V>>>,
+    /// Lookups that found their slot already taken.
+    hits: u64,
+}
+
+impl<K, V> Default for OnceMap<K, V> {
+    fn default() -> Self {
+        OnceMap {
+            slots: BTreeMap::new(),
+            hits: 0,
+        }
+    }
+}
+
+impl<K: Ord, V> OnceMap<K, V> {
+    /// The slot of `key`, taken now unless a caller took it before.
+    fn slot(&mut self, key: K) -> Arc<OnceLock<V>> {
+        match self.slots.entry(key) {
+            Entry::Occupied(slot) => {
+                self.hits += 1;
+                Arc::clone(slot.get())
+            }
+            Entry::Vacant(slot) => Arc::clone(slot.insert(Arc::default())),
+        }
+    }
+
+    /// Hits are lookups that found their slot taken; misses are the slots,
+    /// one per value computed.
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits,
+            misses: self.slots.len() as u64,
+            ..CacheStats::default()
+        }
+    }
+}
+
+/// The value at `key` in `memo`, computed by `fill` when no caller took
+/// its slot before; a caller that finds the slot still being filled waits
+/// for it. `fill` runs outside the lock and must not call back into
+/// `memo`.
+fn get_or_fill<K: Ord, V: Copy>(
+    memo: &Mutex<OnceMap<K, V>>,
+    key: K,
+    fill: impl FnOnce() -> V,
+) -> V {
+    let slot = memo.lock().expect("memo poisoned").slot(key);
+    *slot.get_or_init(fill)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stream::{evaluate_clamped, evaluate_point};
-    use soc_model::{Core, CubeSynthesis};
+    use soc_model::CubeSynthesis;
+    use wrapper::best_design_up_to;
 
     fn prepared() -> Core {
         let mut core = Core::builder("memo")
@@ -184,6 +270,11 @@ mod tests {
         let ts = CubeSynthesis::new(0.2).synthesize(&core, 5);
         core.attach_test_set(ts).unwrap();
         core
+    }
+
+    fn hits_and_misses(cache: &EvalCache<'_>) -> (u64, u64) {
+        let stats = cache.stats();
+        (stats.hits, stats.misses)
     }
 
     #[test]
@@ -207,6 +298,38 @@ mod tests {
     }
 
     #[test]
+    fn best_up_to_matches_uncached_scan() {
+        let core = prepared();
+        let cache = EvalCache::new(&core);
+        // Out of order, to extend the prefix in steps and read it back.
+        for limit in [6u32, 2, 16, 9, 1, 40, 200] {
+            let point = cache.best_up_to(limit);
+            let (design, time) = best_design_up_to(&core, limit);
+            assert_eq!(point.test_time, time, "limit={limit}");
+            assert_eq!(point.chains, design.chain_count(), "limit={limit}");
+            assert_eq!(point.scan_in, design.scan_in_length(), "limit={limit}");
+            assert_eq!(point.scan_out, design.scan_out_length(), "limit={limit}");
+        }
+    }
+
+    #[test]
+    fn clamped_chain_counts_share_the_cap_slot() {
+        let core = prepared();
+        let cache = EvalCache::new(&core);
+        let cap = core.max_wrapper_chains();
+        let (at_cap, built) = cache.point(cap);
+        assert!(built.is_some(), "the first lookup builds the design");
+        let (above, built) = cache.point(cap + 50);
+        assert!(built.is_none(), "a clamped lookup shares the cap's slot");
+        assert_eq!(at_cap, above);
+        assert_eq!(hits_and_misses(&cache), (1, 1));
+        // And the shared point really is what design_wrapper produces.
+        let design = design_wrapper(&core, cap + 50);
+        assert_eq!(above.chains, design.chain_count());
+        assert_eq!(above.scan_in, design.scan_in_length());
+    }
+
+    #[test]
     fn collapsing_keys_share_one_evaluation() {
         let core = prepared();
         let cache = EvalCache::new(&core);
@@ -214,49 +337,38 @@ mod tests {
         let a = cache.evaluate_clamped(10, Some(999));
         let b = cache.evaluate_clamped(10, None);
         assert_eq!(a, b);
-        let memo = cache.evals.lock().unwrap();
-        assert_eq!(memo.len(), 1, "saturating samples must share a key");
+        assert_eq!(
+            cache.evals.lock().unwrap().stats().misses,
+            1,
+            "one evaluation computed"
+        );
     }
 
-    /// A thrashing-tight eval memo returns the same results as an
-    /// unbounded one — eviction recomputes, never corrupts.
     #[test]
-    fn tiny_caps_preserve_evaluation_identity() {
+    fn one_key_asked_twice_counts_one_hit_and_one_miss() {
         let core = prepared();
-        let unbounded =
-            EvalCache::with_limits(&core, CacheLimits::unbounded(), CacheLimits::unbounded());
-        let tight = EvalCache::with_limits(
-            &core,
-            CacheLimits::new(2, usize::MAX),
-            CacheLimits::new(2, usize::MAX),
-        );
-        let ms: Vec<u32> = (1..=12).chain((1..=12).rev()).collect();
-        for m in ms {
-            for sample in [None, Some(3)] {
-                assert_eq!(
-                    tight.evaluate_point(m, sample),
-                    unbounded.evaluate_point(m, sample),
-                    "m={m} sample={sample:?}"
-                );
-            }
-        }
-        assert!(tight.stats().evictions > 0, "cap must actually bite");
-        assert!(tight.evals.lock().unwrap().len() <= 2);
+        let cache = EvalCache::new(&core);
+        let _ = cache.point(4);
+        assert_eq!(hits_and_misses(&cache), (0, 1));
+        let _ = cache.point(4);
+        assert_eq!(hits_and_misses(&cache), (1, 1));
     }
 
-    /// The eval memo's byte cap is respected under a sustained sweep.
     #[test]
-    fn eval_byte_cap_holds() {
+    fn threads_asking_one_key_compute_it_once() {
         let core = prepared();
-        let cap = 3 * EVAL_ENTRY_BYTES;
-        let cache = EvalCache::with_limits(
-            &core,
-            CacheLimits::unbounded(),
-            CacheLimits::new(usize::MAX, cap),
-        );
-        for m in 1..=40 {
-            let _ = cache.evaluate_clamped(m, Some(4));
-            assert!(cache.resident_bytes() <= cap);
-        }
+        let cache = EvalCache::new(&core);
+        let results: Vec<Compressed> = std::thread::scope(|scope| {
+            let asks: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| cache.evaluate_clamped(20, Some(3))))
+                .collect();
+            asks.into_iter().map(|ask| ask.join().unwrap()).collect()
+        });
+        assert!(results
+            .iter()
+            .all(|&c| c == evaluate_clamped(&core, 20, Some(3))));
+        // One point and one evaluation computed; the other three threads
+        // hit both.
+        assert_eq!(hits_and_misses(&cache), (6, 2));
     }
 }

@@ -423,13 +423,11 @@ impl<'a> TableJob<'a> {
         self.cache.content_stamp()
     }
 
-    /// Combined hit/miss/eviction counters of this job's in-memory memo
-    /// caches (the wrapper-design cache plus the operating-point
-    /// evaluation memo), for [`PlanStats`](crate::PlanStats) rollup.
+    /// Hit/miss counters of this job's memo (wrapper points and
+    /// operating-point evaluations), for [`PlanStats`](crate::PlanStats)
+    /// rollup.
     pub(crate) fn memo_stats(&self) -> robust::CacheStats {
-        let mut stats = self.cache.designs().stats();
-        stats.absorb(self.cache.stats());
-        stats
+        self.cache.stats()
     }
 
     /// The full width range of this job (`1..max_width + 1`).
@@ -479,7 +477,7 @@ impl<'a> TableJob<'a> {
                 return Err(Interrupted);
             }
             match source {
-                // Assembly answers raw access from the design cache.
+                // Assembly answers raw access from the memo.
                 Source::Raw => {}
                 Source::Profile => entry = self.profile_entry(w, &cancelled)?,
                 // Only the pinned width needs an evaluation; it is computed
@@ -532,7 +530,8 @@ impl<'a> TableJob<'a> {
     ///
     /// Each width's entry is the first minimum by test time over the
     /// sources' offers, in source order. A skipped width offers raw access
-    /// where a per-width source would have searched.
+    /// where a per-width source would have searched; a skipped pinned width
+    /// only where its class holds a chain count the core can realize.
     ///
     /// # Panics
     ///
@@ -568,7 +567,9 @@ impl<'a> TableJob<'a> {
                 let raw = self.raw_decision(w);
                 let (entry, point) = match ww {
                     WidthWork::Done { entry, point } => (entry.map(entry_decision), *point),
-                    WidthWork::Skipped => (Some(raw), Some(raw)),
+                    // Raw access stands in for an entry only where a search
+                    // could have found one.
+                    WidthWork::Skipped => (Some(raw).filter(|_| self.class_fits(w)), Some(raw)),
                 };
                 let offer = |source| match source {
                     Source::Raw => Some(raw),
@@ -607,13 +608,18 @@ impl<'a> TableJob<'a> {
         )
     }
 
+    /// Whether width `w` has a slice code whose class holds a chain count
+    /// the core can realize, so a profile search there can find an entry.
+    fn class_fits(&self, w: u32) -> bool {
+        w >= SliceCode::MIN_TAM_WIDTH
+            && *SliceCode::feasible_chains(w).start() <= self.core.max_wrapper_chains()
+    }
+
     /// Raw (uncompressed) decision at width `w`: the best wrapper with at
-    /// most `w` chains, answered from the design cache's prefix minimum.
+    /// most `w` chains, answered from the memo's prefix minimum.
     fn raw_decision(&self, w: u32) -> Decision {
-        let point = self.cache.designs().best_up_to(w);
-        let stored = u64::from(self.core.pattern_count())
-            * point.design.scan_in_length()
-            * u64::from(point.design.chain_count());
+        let point = self.cache.best_up_to(w);
+        let stored = u64::from(self.core.pattern_count()) * point.scan_in * u64::from(point.chains);
         Decision {
             test_time: point.test_time,
             volume_bits: stored,
@@ -916,10 +922,20 @@ mod tests {
                 "w={w}"
             );
         }
-        for wf in [0, W + 1] {
+        // No slice code fits widths 0–2, and W + 1 is never reached: a
+        // complete build offers nothing there, and neither may a skipped
+        // one.
+        for wf in [0, 1, 2, W + 1] {
             let t = degraded(CompressionMode::FixedWidth(wf));
             assert!(t.time_row().iter().all(Option::is_none), "w={wf}");
         }
+        // Width 12 needs at least 512 chains; the core stops at 272.
+        assert_eq!(core.max_wrapper_chains(), 272);
+        let mode = CompressionMode::FixedWidth(12);
+        let complete = DecisionTable::build(&core, mode, 12, &cfg);
+        let skipped = DecisionTable::build_with(&core, mode, 12, &cfg, &cancelled);
+        assert!(complete.time_row().iter().all(Option::is_none));
+        assert_eq!(skipped, complete);
         // A skipped width keeps the profile out of the cache; a complete
         // build hands it back.
         for mode in [CompressionMode::PerCore, CompressionMode::Select] {

@@ -335,12 +335,11 @@ impl Planner {
             per_core[i].push(part.unwrap_or_else(|| TablePart::skipped(range)));
         }
         // Assembly (the raw-access row, the profile merge, the bypass) runs
-        // as one task per core once every chunk has finished, so each
-        // core's memos are touched by one task at a time and their counters
-        // stay exact. No token — every core gets a table, skipped widths
-        // degrade to raw access. Cache writes stay serial below, in core
-        // order, so the evictions a full shard reports do not depend on
-        // timing.
+        // as one task per core once every chunk has finished, so the raw
+        // row reads the points the chunks' evaluations already computed.
+        // No token — every core gets a table, skipped widths degrade to
+        // raw access. Cache writes stay serial below, in core order, so the
+        // evictions a full shard reports do not depend on timing.
         let assembly: Vec<_> = jobs
             .iter()
             .zip(per_core)
@@ -605,9 +604,10 @@ pub struct PlanStats {
     /// On-disk cache entries evicted by per-shard cap enforcement during
     /// this run's profile writes.
     pub profile_evictions: u64,
-    /// Rolled-up counters of the in-memory memo caches (the per-core
-    /// wrapper-design cache and operating-point evaluation memo) across
-    /// every core job of the run.
+    /// Rolled-up counters of the per-core memos (wrapper points and
+    /// operating-point evaluations) across every core job of the run:
+    /// hits are lookups answered without computing, misses are values
+    /// computed.
     pub memo: robust::CacheStats,
 }
 
@@ -1132,12 +1132,14 @@ mod tests {
                 "w={w}"
             );
         }
-        // A cancelled build degrades a pinned width to raw access, but
-        // width 0 pins no width at all.
+        // A cancelled build degrades a pinned width to raw access only
+        // where a complete build could have found an entry.
         let control = PlanControl::default();
         control.token.cancel();
-        let plan = Planner::fixed_width_tdc(0).plan_with(&soc, &request, &control);
-        assert!(unschedulable(plan));
+        for w in [0, 1, 2] {
+            let plan = Planner::fixed_width_tdc(w).plan_with(&soc, &request, &control);
+            assert!(unschedulable(plan), "cancelled, w={w}");
+        }
     }
 
     #[test]

@@ -120,20 +120,6 @@ impl WrapperDesign {
         &self.chains
     }
 
-    /// Approximate in-memory footprint of this design in bytes (struct
-    /// plus chain/segment heap storage). Used by the bounded design cache
-    /// to charge entries against its byte cap.
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        size_of::<Self>()
-            + self.chains.len() * size_of::<ChainLayout>()
-            + self
-                .chains
-                .iter()
-                .map(|c| c.segments.len() * size_of::<Range<u64>>())
-                .sum::<usize>()
-    }
-
     /// Longest load length over all chains (`s_i`).
     pub fn scan_in_length(&self) -> u64 {
         self.scan_in

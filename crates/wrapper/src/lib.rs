@@ -26,8 +26,8 @@
 //! assert_eq!(design.chain_count(), 4);
 //!
 //! // The Pareto frontier of (width, test time): the chain counts that
-//! // lower the test time. (The planner asks a `DesignCache` for the best
-//! // design at ≤ w chains instead.)
+//! // lower the test time. (The planner asks its per-core memo,
+//! // `selenc::EvalCache`, for the best point at ≤ w chains instead.)
 //! let frontier = pareto_points(&core, 16);
 //! assert!(frontier.len() > 1);
 //! # Ok::<(), soc_model::BuildCoreError>(())
@@ -36,13 +36,11 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod cache;
 mod design;
 mod pareto;
 mod power;
 mod slicemat;
 
-pub use cache::{DesignCache, DesignPoint, DEFAULT_DESIGN_BYTES, DEFAULT_DESIGN_ENTRIES};
 pub use design::{design_wrapper, ChainLayout, Slices, WrapperDesign};
 pub use pareto::{best_design_up_to, pareto_points, WrapperPoint};
 pub use power::{estimate_scan_power, weighted_transitions, Fill, ScanPower};

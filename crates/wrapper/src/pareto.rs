@@ -11,7 +11,7 @@ use crate::design::{design_wrapper, WrapperDesign};
 
 /// One wrapper operating point: the narrowest chain count achieving its
 /// scan lengths.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WrapperPoint {
     /// Requested (and effective) number of wrapper chains.
     pub chains: u32,

@@ -222,6 +222,34 @@ fn plans_and_stats_are_identical_at_any_worker_count() {
     for run in &runs[1..] {
         assert_eq!(run, &runs[0], "cold plan into full shards");
     }
+
+    // Per-TAM plans under an ATE budget: many internal widths clamp to one
+    // chain count, so pool tasks ask one core's memo for one key at once.
+    // The memo computes it once and counts the others as hits, so even its
+    // counters match the serial plan's, run after run.
+    let soc = Design::D695.build_with_cubes(1);
+    let per_tam = |workers| {
+        let mut request = PlanRequest::ate_channels(16).with_decisions(DecisionConfig {
+            pattern_sample: Some(8),
+            m_candidates: 8,
+        });
+        request.architecture.workers = Some(workers);
+        let (plan, stats) = Planner::per_tam_tdc()
+            .plan_with_stats(&soc, &request, &PlanControl::default())
+            .unwrap();
+        (write_plan(&plan), stats)
+    };
+    let serial = per_tam(1);
+    assert!(serial.1.memo.hits > 0, "{:?}", serial.1.memo);
+    for workers in [2, 4] {
+        for run in 0..10 {
+            assert_eq!(
+                per_tam(workers),
+                serial,
+                "per-TAM, {workers} workers, run {run}"
+            );
+        }
+    }
 }
 
 #[test]
