@@ -40,9 +40,6 @@ pub struct FleetOptions {
     /// concurrent writers — every fleet worker (and other processes) may
     /// point at the same root.
     pub profile_cache: Option<PathBuf>,
-    /// Skip the per-plan compressed-stream replay (faster; plans are
-    /// unchanged — verification never alters a plan).
-    pub skip_stream_verification: bool,
     /// Directory of plan files from a previous run (`soctdc fleet
     /// --resume`). An instance whose `ID.plan` round-trips byte-identical
     /// through `parse_plan → write_plan` is taken as already done and
@@ -410,11 +407,7 @@ fn plan_instance(
         None => {
             let mut job = inst.job();
             job.request.architecture.workers = Some(inner);
-            let control = PlanControl {
-                skip_stream_verification: opts.skip_stream_verification,
-                ..PlanControl::default()
-            };
-            match engine.plan(&job, control) {
+            match engine.plan(&job, PlanControl::default()) {
                 Ok((plan, stats)) => (InstanceOutcome::Planned(plan.outcome), stats, Some(plan)),
                 Err(e) => (
                     InstanceOutcome::Failed(e.to_string()),

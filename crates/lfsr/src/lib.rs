@@ -11,7 +11,7 @@
 //! # Examples
 //!
 //! ```
-//! use lfsr::{compress_reseeding, ReseedOptions};
+//! use lfsr::compress_reseeding;
 //! use soc_model::{Core, CubeSynthesis};
 //!
 //! let mut core = Core::builder("c")
@@ -23,7 +23,7 @@
 //! let cubes = CubeSynthesis::new(0.08).synthesize(&core, 5);
 //! core.attach_test_set(cubes)?;
 //!
-//! let result = compress_reseeding(&core, 16, 8, &ReseedOptions::default())?;
+//! let result = compress_reseeding(&core, 16, 8, None)?;
 //! assert!(result.volume_bits < core.initial_volume_bits());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -39,4 +39,4 @@ mod reseed;
 pub use generator::{symbolic_reset, Lfsr, PhaseShifter};
 pub use gf2::{Gf2Solver, Gf2Vec, InconsistentSystem};
 pub use misr::{compact_responses, Misr};
-pub use reseed::{compress_reseeding, ReseedError, ReseedOptions, ReseedResult};
+pub use reseed::{compress_reseeding, ReseedError, ReseedResult};

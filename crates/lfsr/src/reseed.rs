@@ -22,39 +22,18 @@ use wrapper::design_wrapper;
 use crate::generator::{symbolic_reset, Lfsr, PhaseShifter};
 use crate::gf2::Gf2Solver;
 
-/// Options for [`compress_reseeding`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReseedOptions {
-    /// Extra seed bits beyond the densest pattern's care-bit count
-    /// (linear-solvability headroom). Default 20, the classic rule of
-    /// thumb.
-    pub margin: usize,
-    /// LFSR growth factor applied when some pattern proves unsolvable.
-    pub growth: f64,
-    /// Attempts before giving up.
-    pub max_attempts: u32,
-    /// Evaluate only this many evenly spaced patterns, scaling volume and
-    /// time to the full set (`None` = exact).
-    pub pattern_sample: Option<usize>,
-    /// Seed for the phase-shifter wiring.
-    pub hardware_seed: u64,
-    /// Verify each computed seed by concrete simulation (on by default;
-    /// the check is cheap relative to solving).
-    pub verify: bool,
-}
+/// Extra seed bits beyond the densest pattern's care-bit count
+/// (linear-solvability headroom): the classic rule of thumb.
+const MARGIN: usize = 20;
 
-impl Default for ReseedOptions {
-    fn default() -> Self {
-        ReseedOptions {
-            margin: 20,
-            growth: 1.5,
-            max_attempts: 4,
-            pattern_sample: None,
-            hardware_seed: 0xDA7E_2007,
-            verify: true,
-        }
-    }
-}
+/// LFSR growth factor applied when some pattern proves unsolvable.
+const GROWTH: f64 = 1.5;
+
+/// LFSR lengths tried before giving up.
+const MAX_ATTEMPTS: u32 = 4;
+
+/// Seed for the phase-shifter wiring.
+const HARDWARE_SEED: u64 = 0xDA7E_2007;
 
 /// Outcome of compressing one core by LFSR reseeding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,11 +80,15 @@ impl std::error::Error for ReseedError {}
 /// Compresses `core`'s test set by LFSR reseeding, with `m` wrapper chains
 /// and `ate_width` tester channels feeding the seed register.
 ///
+/// `pattern_sample` evaluates only that many evenly spaced patterns and
+/// scales volume and time to the full set (`None` = exact). Every
+/// computed seed is checked by concrete simulation.
+///
 /// # Errors
 ///
 /// Returns [`ReseedError::NoTestSet`] when the core carries no cubes and
-/// [`ReseedError::Unsolvable`] when solvability cannot be reached within
-/// the configured attempts.
+/// [`ReseedError::Unsolvable`] when some pattern stays unsolvable at every
+/// LFSR length tried.
 ///
 /// # Panics
 ///
@@ -114,7 +97,7 @@ pub fn compress_reseeding(
     core: &Core,
     m: u32,
     ate_width: u32,
-    opts: &ReseedOptions,
+    pattern_sample: Option<usize>,
 ) -> Result<ReseedResult, ReseedError> {
     assert!(ate_width > 0, "ATE width must be positive");
     assert!(m > 0, "chain count must be positive");
@@ -124,7 +107,7 @@ pub fn compress_reseeding(
     let s_i = design.scan_in_length();
 
     let p = test_set.pattern_count();
-    let sample: Vec<usize> = match opts.pattern_sample {
+    let sample: Vec<usize> = match pattern_sample {
         Some(s) if s < p => {
             let mut idx: Vec<usize> = (0..s).map(|i| i * p / s).collect();
             idx.dedup();
@@ -153,9 +136,9 @@ pub fn compress_reseeding(
         constraints.push(list);
     }
 
-    let mut lfsr_len = (max_care + opts.margin).max(ate_width as usize).max(8);
-    for _attempt in 0..opts.max_attempts {
-        match try_solve(&constraints, lfsr_len, m_eff, s_i, opts) {
+    let mut lfsr_len = (max_care + MARGIN).max(ate_width as usize).max(8);
+    for _attempt in 0..MAX_ATTEMPTS {
+        match try_solve(&constraints, lfsr_len, m_eff, s_i) {
             Ok(()) => {
                 let load = (lfsr_len as u64).div_ceil(u64::from(ate_width));
                 let per_pattern = load.max(s_i);
@@ -169,7 +152,7 @@ pub fn compress_reseeding(
                 });
             }
             Err(()) => {
-                lfsr_len = ((lfsr_len as f64 * opts.growth) as usize).max(lfsr_len + 8);
+                lfsr_len = ((lfsr_len as f64 * GROWTH) as usize).max(lfsr_len + 8);
             }
         }
     }
@@ -182,10 +165,9 @@ fn try_solve(
     lfsr_len: usize,
     chains: usize,
     s_i: u64,
-    opts: &ReseedOptions,
 ) -> Result<(), ()> {
     let lfsr = Lfsr::with_default_taps(lfsr_len);
-    let ps = PhaseShifter::random(chains, lfsr_len, opts.hardware_seed);
+    let ps = PhaseShifter::random(chains, lfsr_len, HARDWARE_SEED);
 
     // Union of (cycle, chain) positions needing symbolic rows. BTreeMap:
     // nothing iterates it today, but keeping the container ordered means a
@@ -219,10 +201,7 @@ fn try_solve(
                 return Err(());
             }
         }
-        if opts.verify {
-            let seed = solver.solution();
-            verify_seed(&lfsr, &ps, &seed, list, s_i);
-        }
+        verify_seed(&lfsr, &ps, &solver.solution(), list, s_i);
     }
     Ok(())
 }
@@ -277,7 +256,7 @@ mod tests {
     #[test]
     fn compresses_sparse_core() {
         let core = prepared(400, 8, 0.05);
-        let r = compress_reseeding(&core, 16, 8, &ReseedOptions::default()).unwrap();
+        let r = compress_reseeding(&core, 16, 8, None).unwrap();
         assert!(r.lfsr_len >= 8);
         assert_eq!(r.seeds, 8);
         assert_eq!(r.volume_bits, 8 * r.lfsr_len as u64);
@@ -290,9 +269,8 @@ mod tests {
     fn dense_cubes_need_long_lfsrs() {
         let sparse = prepared(300, 6, 0.05);
         let dense = prepared(300, 6, 0.6);
-        let opts = ReseedOptions::default();
-        let rs = compress_reseeding(&sparse, 16, 8, &opts).unwrap();
-        let rd = compress_reseeding(&dense, 16, 8, &opts).unwrap();
+        let rs = compress_reseeding(&sparse, 16, 8, None).unwrap();
+        let rd = compress_reseeding(&dense, 16, 8, None).unwrap();
         assert!(
             rd.lfsr_len > 3 * rs.lfsr_len,
             "{} vs {}",
@@ -303,26 +281,17 @@ mod tests {
 
     #[test]
     fn seeds_are_verified_by_concrete_simulation() {
-        // `verify: true` (default) panics inside on any solver bug; just
-        // exercising it on a moderately dense core is the assertion.
+        // The seed check panics inside on any solver bug; just exercising
+        // it on a moderately dense core is the assertion.
         let core = prepared(200, 10, 0.3);
-        compress_reseeding(&core, 8, 4, &ReseedOptions::default()).unwrap();
+        compress_reseeding(&core, 8, 4, None).unwrap();
     }
 
     #[test]
     fn sampling_scales_volume_to_full_set() {
         let core = prepared(300, 20, 0.1);
-        let exact = compress_reseeding(&core, 16, 8, &ReseedOptions::default()).unwrap();
-        let sampled = compress_reseeding(
-            &core,
-            16,
-            8,
-            &ReseedOptions {
-                pattern_sample: Some(5),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let exact = compress_reseeding(&core, 16, 8, None).unwrap();
+        let sampled = compress_reseeding(&core, 16, 8, Some(5)).unwrap();
         assert_eq!(sampled.seeds, 20);
         // Same order of magnitude (L may differ slightly).
         let ratio = sampled.volume_bits as f64 / exact.volume_bits as f64;
@@ -332,9 +301,8 @@ mod tests {
     #[test]
     fn wider_ate_interface_never_slower() {
         let core = prepared(300, 10, 0.2);
-        let opts = ReseedOptions::default();
-        let narrow = compress_reseeding(&core, 16, 2, &opts).unwrap();
-        let wide = compress_reseeding(&core, 16, 16, &opts).unwrap();
+        let narrow = compress_reseeding(&core, 16, 2, None).unwrap();
+        let wide = compress_reseeding(&core, 16, 16, None).unwrap();
         assert!(wide.test_time <= narrow.test_time);
     }
 
@@ -346,7 +314,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(
-            compress_reseeding(&core, 4, 2, &ReseedOptions::default()),
+            compress_reseeding(&core, 4, 2, None),
             Err(ReseedError::NoTestSet)
         );
     }

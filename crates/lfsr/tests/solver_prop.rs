@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use lfsr::{compress_reseeding, Gf2Solver, Gf2Vec, Lfsr, PhaseShifter, ReseedOptions};
+use lfsr::{compress_reseeding, Gf2Solver, Gf2Vec, Lfsr, PhaseShifter};
 use soc_model::{Core, CubeSynthesis, SplitMix64, TestSet};
 
 /// Brute force: does any assignment satisfy all constraints?
@@ -119,9 +119,8 @@ fn reseeding_volume_scales_with_density_not_length() {
     };
     let short_dense = mk(400, 0.20); // ~80 care bits per pattern
     let long_sparse = mk(1600, 0.05); // ~80 care bits per pattern
-    let opts = ReseedOptions::default();
-    let a = compress_reseeding(&short_dense, 16, 8, &opts).unwrap();
-    let b = compress_reseeding(&long_sparse, 16, 8, &opts).unwrap();
+    let a = compress_reseeding(&short_dense, 16, 8, None).unwrap();
+    let b = compress_reseeding(&long_sparse, 16, 8, None).unwrap();
     let ratio = a.lfsr_len as f64 / b.lfsr_len as f64;
     assert!(
         (0.5..2.0).contains(&ratio),
@@ -181,13 +180,9 @@ proptest! {
 
         // Exact evaluation: `pattern_sample` picks patterns by position,
         // which is the one knob legitimately sensitive to input order.
-        let opts = ReseedOptions {
-            pattern_sample: None,
-            ..ReseedOptions::default()
-        };
         prop_assert_eq!(
-            compress_reseeding(&base, m, ate, &opts),
-            compress_reseeding(&permuted, m, ate, &opts)
+            compress_reseeding(&base, m, ate, None),
+            compress_reseeding(&permuted, m, ate, None)
         );
     }
 }

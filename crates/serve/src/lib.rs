@@ -10,8 +10,9 @@
 //!   crash recovers every session and re-executes journaled requests.
 //! * **Bounded resources** — a bounded request queue with explicit load
 //!   shedding ([`queue`]), a bounded plan-text memo, a bounded SOC cache
-//!   (repeat plans skip synthesis), and the bounded design/eval/profile
-//!   caches of the underlying planner.
+//!   (repeat plans skip synthesis), and the planner's on-disk profile
+//!   store under `cache/`, capped per shard. The planner's per-core memo
+//!   lives for one plan's table stage and has no caps.
 //! * **Fault injection** — [`fault`] arms process aborts at named points
 //!   so the crash-recovery story is *tested*, not asserted.
 //!

@@ -37,16 +37,17 @@ use crate::schedule::ScheduleError;
 use crate::search::{Search, SearchStatus};
 use crate::sweep::{GreedySweep, SweepOutcome};
 
+/// Initial temperature as a fraction of the starting makespan.
+const INITIAL_TEMP: f64 = 0.05;
+
+/// Geometric cooling factor per proposal.
+const COOLING: f64 = 0.997;
+
 /// Options for [`anneal_architecture`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnnealOptions {
     /// Proposal count *per chain* (default 2000).
     pub iterations: u32,
-    /// Initial temperature as a fraction of the starting makespan
-    /// (default 0.05).
-    pub initial_temp: f64,
-    /// Geometric cooling factor per iteration (default 0.997).
-    pub cooling: f64,
     /// RNG seed (the search is deterministic per seed).
     pub seed: u64,
     /// Independent restart chains (default 1; `0` is treated as 1). Each
@@ -62,8 +63,6 @@ impl Default for AnnealOptions {
     fn default() -> Self {
         AnnealOptions {
             iterations: 2000,
-            initial_temp: 0.05,
-            cooling: 0.997,
             seed: 0x5EED,
             chains: 1,
             workers: None,
@@ -249,7 +248,7 @@ fn run_chain(
     let mut widths = start.to_vec();
     let mut current_time = start_time;
     let mut rng = SplitMix64::new(seed);
-    let mut temp = opts.initial_temp * current_time as f64;
+    let mut temp = INITIAL_TEMP * current_time as f64;
 
     // The walk revisits partitions constantly (a shift undone two moves
     // later lands on a seen key), so makespans are answered from a memo,
@@ -267,7 +266,7 @@ fn run_chain(
             break;
         }
         let candidate = propose(&widths, max_tams, &mut rng);
-        temp *= opts.cooling;
+        temp *= COOLING;
         let Some((candidate, delta)) = candidate else {
             continue;
         };

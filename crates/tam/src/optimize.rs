@@ -32,9 +32,6 @@ use crate::sweep::{GreedySweep, SweepOutcome};
 /// Options for [`optimize_architecture`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArchitectureOptions {
-    /// Cap on the number of TAMs explored (default: no cap beyond
-    /// `min(cores, wires)`).
-    pub max_tams: Option<u32>,
     /// Cap on hill-climbing steps per TAM count (default 64; each step
     /// reschedules once per donor TAM).
     pub refine_steps: u32,
@@ -50,7 +47,6 @@ pub struct ArchitectureOptions {
 impl Default for ArchitectureOptions {
     fn default() -> Self {
         ArchitectureOptions {
-            max_tams: None,
             refine_steps: 64,
             workers: None,
             prune: true,
@@ -107,10 +103,7 @@ pub fn optimize_architecture_with(
             tams: 0,
         });
     }
-    let k_max = total_width
-        .min(cost.core_count() as u32)
-        .min(opts.max_tams.unwrap_or(u32::MAX))
-        .max(1);
+    let k_max = total_width.min(cost.core_count() as u32).max(1);
 
     // Any published value is the makespan of an architecture some task
     // actually built, so the eventual winner's time is never above it —
@@ -370,21 +363,6 @@ mod tests {
             "test time {} vs lower bound {lb}",
             arch.test_time
         );
-    }
-
-    #[test]
-    fn respects_max_tams() {
-        let c = cost();
-        let arch = optimize_architecture(
-            &c,
-            12,
-            &ArchitectureOptions {
-                max_tams: Some(2),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(arch.schedule.tam_widths().len() <= 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::ops::Range;
 
 use fdr::compress_fdr;
-use lfsr::{compress_reseeding, ReseedOptions};
+use lfsr::compress_reseeding;
 use robust::CancelToken;
 use selenc::{
     profile_entry_for_width, CoreProfile, EvalCache, Interrupted, ProfileConfig, ProfileEntry,
@@ -695,10 +695,6 @@ fn entry_decision(e: ProfileEntry) -> Decision {
 }
 
 fn reseed_decision(core: &Core, w: u32, config: &DecisionConfig) -> Option<Decision> {
-    let opts = ReseedOptions {
-        pattern_sample: config.pattern_sample,
-        ..Default::default()
-    };
     let max_chains = core.max_wrapper_chains();
     let mut best: Option<Decision> = None;
     let mut candidates: Vec<u32> = [w, 2 * w, 4 * w, 8 * w, 16 * w]
@@ -707,7 +703,7 @@ fn reseed_decision(core: &Core, w: u32, config: &DecisionConfig) -> Option<Decis
         .collect();
     candidates.dedup();
     for m in candidates {
-        if let Ok(r) = compress_reseeding(core, m, w, &opts) {
+        if let Ok(r) = compress_reseeding(core, m, w, config.pattern_sample) {
             let d = Decision {
                 test_time: r.test_time,
                 volume_bits: r.volume_bits,

@@ -517,7 +517,6 @@ pub fn run(command: &Command, out: &mut dyn std::io::Write) -> Result<(), CliErr
                     .resume
                     .then(|| args.plan_dir.clone().map(Into::into))
                     .flatten(),
-                ..Default::default()
             };
             // `--ndjson` streams one line per instance as workers finish
             // it — progress is observable while the batch runs, so the
