@@ -22,7 +22,8 @@ const MAX_ASSIGNMENTS: u64 = 20_000_000;
 /// atomic load does not dominate the inner loop.
 const CANCEL_POLL_STRIDE: u64 = 4096;
 
-/// Finds the optimal fixed-width-TAM architecture by brute force.
+/// Finds the optimal fixed-width-TAM architecture by brute force, over
+/// every TAM count up to `min(total_width, cores)`.
 ///
 /// # Errors
 ///
@@ -33,9 +34,8 @@ const CANCEL_POLL_STRIDE: u64 = 4096;
 pub fn exhaustive_architecture(
     cost: &CostModel,
     total_width: u32,
-    max_tams: u32,
 ) -> Result<Architecture, ScheduleError> {
-    exhaustive_architecture_with(cost, total_width, max_tams, &CancelToken::never())
+    exhaustive_architecture_with(cost, total_width, &CancelToken::never())
         .map(|search| search.architecture)
 }
 
@@ -54,7 +54,6 @@ pub fn exhaustive_architecture(
 pub fn exhaustive_architecture_with(
     cost: &CostModel,
     total_width: u32,
-    max_tams: u32,
     token: &CancelToken,
 ) -> Result<Search, ScheduleError> {
     if total_width == 0 {
@@ -64,7 +63,7 @@ pub fn exhaustive_architecture_with(
         });
     }
     let n = cost.core_count();
-    let k_max = max_tams.min(total_width).min(n as u32).max(1);
+    let k_max = total_width.min(n as u32).max(1);
 
     let mut best: Option<Architecture> = None;
     let mut interrupted = false;
@@ -253,7 +252,7 @@ mod tests {
     #[test]
     fn oracle_finds_valid_optimum() {
         let c = cost();
-        let arch = exhaustive_architecture(&c, 8, 4).unwrap();
+        let arch = exhaustive_architecture(&c, 8).unwrap();
         arch.schedule.validate(&c).unwrap();
         assert!(arch.test_time >= c.lower_bound(8));
     }
@@ -261,7 +260,7 @@ mod tests {
     #[test]
     fn heuristic_matches_oracle_on_this_instance() {
         let c = cost();
-        let oracle = exhaustive_architecture(&c, 8, 4).unwrap();
+        let oracle = exhaustive_architecture(&c, 8).unwrap();
         let heur = optimize_architecture(&c, 8, &ArchitectureOptions::default()).unwrap();
         assert!(heur.test_time >= oracle.test_time, "oracle is optimal");
         assert!(
@@ -277,9 +276,9 @@ mod tests {
         let mut m = CostModel::new(6);
         m.push_core("wide", vec![None, None, None, None, None, Some(9)]);
         m.push_core("easy", vec![Some(5); 6]);
-        assert!(exhaustive_architecture(&m, 6, 2).is_ok());
+        assert!(exhaustive_architecture(&m, 6).is_ok());
         assert!(matches!(
-            exhaustive_architecture(&m, 4, 2),
+            exhaustive_architecture(&m, 4),
             Err(ScheduleError::CoreUnschedulable { core: 0 })
         ));
     }
@@ -290,7 +289,7 @@ mod tests {
         let token = CancelToken::never();
         token.cancel();
         assert!(matches!(
-            exhaustive_architecture_with(&c, 8, 4, &token),
+            exhaustive_architecture_with(&c, 8, &token),
             Err(ScheduleError::Interrupted)
         ));
     }
@@ -304,7 +303,7 @@ mod tests {
             Some(5_000 * (i as u64 + 1) / u64::from(w) + 3)
         });
         let token = CancelToken::expiring_in(std::time::Duration::ZERO);
-        match exhaustive_architecture_with(&c, 6, 3, &token) {
+        match exhaustive_architecture_with(&c, 3, &token) {
             Ok(search) => {
                 assert_eq!(search.status, SearchStatus::Interrupted);
                 search.architecture.schedule.validate(&c).unwrap();
@@ -317,8 +316,8 @@ mod tests {
     #[test]
     fn never_token_matches_plain_search() {
         let c = cost();
-        let plain = exhaustive_architecture(&c, 8, 4).unwrap();
-        let with = exhaustive_architecture_with(&c, 8, 4, &CancelToken::never()).unwrap();
+        let plain = exhaustive_architecture(&c, 8).unwrap();
+        let with = exhaustive_architecture_with(&c, 8, &CancelToken::never()).unwrap();
         assert!(with.is_complete());
         assert_eq!(with.architecture, plain);
     }
@@ -327,7 +326,7 @@ mod tests {
     fn oversized_instances_are_refused() {
         let c = CostModel::from_fn(&["x"; 40], 8, |_, w| Some(100 / u64::from(w) + 1));
         assert!(matches!(
-            exhaustive_architecture(&c, 8, 8),
+            exhaustive_architecture(&c, 8),
             Err(ScheduleError::BadPartition { .. })
         ));
     }

@@ -124,7 +124,7 @@ mod oracle {
 
         #[test]
         fn heuristic_stays_within_35_percent_of_oracle(cost in tiny_cost_model()) {
-            let oracle = exhaustive_architecture(&cost, 6, 6).expect("feasible");
+            let oracle = exhaustive_architecture(&cost, 6).expect("feasible");
             oracle.schedule.validate(&cost).unwrap();
             let heur = optimize_architecture(&cost, 6, &ArchitectureOptions::default())
                 .expect("feasible");
@@ -137,7 +137,7 @@ mod oracle {
 
         #[test]
         fn annealing_stays_within_35_percent_of_oracle(cost in tiny_cost_model()) {
-            let oracle = exhaustive_architecture(&cost, 6, 6).expect("feasible");
+            let oracle = exhaustive_architecture(&cost, 6).expect("feasible");
             let sa = anneal_architecture(&cost, 6, &AnnealOptions::default())
                 .expect("feasible");
             prop_assert!(sa.test_time >= oracle.test_time);
